@@ -1,7 +1,9 @@
-// Command msstrace runs one coordination simulation with event tracing
-// and dumps the timeline: every activation, control packet, hand-off and
-// crash in virtual-time order. Useful for understanding how DCoP's
-// flooding or TCoP's handshake actually unfolds.
+// Command msstrace runs one coordination simulation with flight
+// recording on and dumps the timeline: every peer's engine events and
+// effects plus the driver's own records (control sends of the leaf and
+// the baselines, activations, crashes, churn, leaf repair) in
+// virtual-time order. Useful for understanding how DCoP's flooding or
+// TCoP's handshake actually unfolds.
 //
 // It also post-processes causal span traces written by mssim/mssplay
 // -trace-out: `msstrace perfetto` converts a span JSONL file to Chrome
@@ -15,8 +17,9 @@
 // Usage:
 //
 //	msstrace -proto dcop -n 20 -h 4
-//	msstrace -proto tcop -n 12 -h 3 -kinds activate,crash
-//	msstrace -proto dcop -json | jq .kind
+//	msstrace -proto tcop -n 12 -h 3 -kinds activate,send_control
+//	msstrace -proto dcop -json | jq .type
+//	msstrace -proto ams -json | msstrace flight -summary
 //	msstrace perfetto trace.jsonl -o trace.json
 //	msstrace summary trace.jsonl
 //	msstrace flight flight.jsonl -summary
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"p2pmss"
@@ -47,7 +51,7 @@ func main() {
 			return
 		}
 	}
-	runTimeline()
+	os.Exit(runTimeline(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // splitInput peels a leading positional argument (the trace file) off
@@ -193,15 +197,20 @@ func runFlight(args []string) {
 			fmt.Printf("... %d more (raise -limit)\n", len(events)-shown)
 			break
 		}
-		sessPrefix := ""
-		if e.Session != "" {
-			sessPrefix = e.Session + "/"
-		}
-		fmt.Printf("%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d\n",
-			e.T, sessPrefix, e.Peer, e.Dir, e.Type, e.Other, e.Round, e.N)
+		printFlightEvent(os.Stdout, e)
 		shown++
 	}
 	fmt.Fprintf(os.Stderr, "msstrace: %d events (%d after filters)\n", len(all), len(events))
+}
+
+// printFlightEvent writes one flight record as a listing line.
+func printFlightEvent(w io.Writer, e p2pmss.FlightEvent) {
+	sessPrefix := ""
+	if e.Session != "" {
+		sessPrefix = e.Session + "/"
+	}
+	fmt.Fprintf(w, "%12.6f %speer%-3d %-4s %-20s other=%-3d round=%-2d n=%d\n",
+		e.T, sessPrefix, e.Peer, e.Dir, e.Type, e.Other, e.Round, e.N)
 }
 
 func fatal(err error) {
@@ -209,69 +218,107 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func runTimeline() {
+// runTimeline parses the timeline flags, runs the simulation and
+// writes its timeline; it returns the process exit code.
+func runTimeline(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("msstrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		proto   = flag.String("proto", p2pmss.DCoP, "protocol: dcop, tcop, broadcast, unicast, centralized, ams")
-		n       = flag.Int("n", 20, "contents peers")
-		fanout  = flag.Int("h", 4, "fanout H")
-		seed    = flag.Int64("seed", 1, "random seed")
-		kinds   = flag.String("kinds", "", "comma-separated event kinds to show (default all)")
-		limit   = flag.Int("limit", 20000, "trace capacity (must be positive)")
-		jsonOut = flag.Bool("json", false, "emit the timeline as JSON Lines (one event per line)")
+		proto   = fs.String("proto", p2pmss.DCoP, "protocol: dcop, tcop, broadcast, unicast, centralized, ams")
+		n       = fs.Int("n", 20, "contents peers")
+		fanout  = fs.Int("h", 4, "fanout H")
+		seed    = fs.Int64("seed", 1, "random seed")
+		kinds   = fs.String("kinds", "", "comma-separated record types to show (default all)")
+		limit   = fs.Int("limit", 1024, "flight ring capacity per peer (must be positive)")
+		jsonOut = fs.Bool("json", false, "emit the timeline as flight JSON Lines (one record per line)")
 	)
-	flag.Parse()
-
-	if *limit <= 0 {
-		fmt.Fprintf(os.Stderr, "msstrace: -limit %d must be positive\n", *limit)
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	tr := p2pmss.NewTracer(*limit)
+	if *limit <= 0 {
+		fmt.Fprintf(stderr, "msstrace: -limit %d must be positive\n", *limit)
+		fs.Usage()
+		return 2
+	}
 	cfg := p2pmss.DefaultSimConfig()
 	cfg.N = *n
 	cfg.H = *fanout
 	cfg.Seed = *seed
-	cfg.Obs.Trace = tr
-
-	res, err := p2pmss.Simulate(*proto, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "msstrace:", err)
-		os.Exit(1)
-	}
-
-	// Resolve the events to print: the full timeline, or only the
-	// requested kinds (in their per-kind recording order, as before).
-	var events []p2pmss.TraceEvent
-	if *kinds == "" {
-		events = tr.Events()
-	} else {
+	var types []string
+	if *kinds != "" {
 		for _, k := range strings.Split(*kinds, ",") {
-			events = append(events, tr.Filter(strings.TrimSpace(k))...)
+			types = append(types, strings.TrimSpace(k))
 		}
 	}
+	if err := writeTimeline(stdout, stderr, *proto, cfg, *limit, types, *jsonOut); err != nil {
+		fmt.Fprintln(stderr, "msstrace:", err)
+		return 1
+	}
+	return 0
+}
 
-	if *jsonOut {
-		if err := p2pmss.WriteTraceJSONL(os.Stdout, events); err != nil {
-			fmt.Fprintln(os.Stderr, "msstrace:", err)
-			os.Exit(1)
-		}
-		// Keep stdout pure JSONL; the human summary goes to stderr.
-		fmt.Fprintf(os.Stderr, "%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
-			res.Protocol, res.ActivePeers, *n, res.Rounds, res.ControlPackets, res.SyncTime)
-		return
+// writeTimeline runs proto under cfg with a flight set of perPeerCap
+// records per peer and writes every record of the given types (all when
+// types is empty) in (T, peer, seq) order: as listing lines with a
+// per-type summary, or as flight JSONL when jsonOut is set. The run
+// summary goes to stdout after a listing and to stderr after JSONL, so
+// JSONL output stays machine-readable.
+func writeTimeline(stdout, stderr io.Writer, proto string, cfg p2pmss.SimConfig, perPeerCap int, types []string, jsonOut bool) error {
+	fl := p2pmss.NewFlightSet(perPeerCap)
+	cfg.Obs.Flight = fl
+	res, err := p2pmss.Simulate(proto, cfg)
+	if err != nil {
+		return err
 	}
+	all := fl.Events()
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.T != b.T {
+			return a.T < b.T
+		}
+		if a.Peer != b.Peer {
+			return a.Peer < b.Peer
+		}
+		return a.Seq < b.Seq
+	})
+	keep := make(map[string]bool, len(types))
+	for _, t := range types {
+		keep[t] = true
+	}
+	events := all[:0:0]
+	counts := make(map[string]int)
+	for _, e := range all {
+		if len(keep) > 0 && !keep[e.Type] {
+			continue
+		}
+		events = append(events, e)
+		counts[e.Type]++
+	}
+	summary := fmt.Sprintf("%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
+		res.Protocol, res.ActivePeers, cfg.N, res.Rounds, res.ControlPackets, res.SyncTime)
 
-	if *kinds == "" {
-		if err := tr.Dump(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "msstrace:", err)
-			os.Exit(1)
+	if jsonOut {
+		if err := p2pmss.WriteFlightJSONL(stdout, events); err != nil {
+			return err
 		}
-	} else {
-		for _, e := range events {
-			fmt.Println(e)
-		}
+		_, err := io.WriteString(stderr, summary)
+		return err
 	}
-	fmt.Printf("\n%s: %d/%d peers active, %d rounds, %d control packets, sync at t=%.2f\n",
-		res.Protocol, res.ActivePeers, *n, res.Rounds, res.ControlPackets, res.SyncTime)
+	for _, e := range events {
+		printFlightEvent(stdout, e)
+	}
+	names := make([]string, 0, len(counts))
+	for t := range counts {
+		names = append(names, t)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(stdout, "-- %d records", len(events))
+	if ev := fl.Evicted(); ev > 0 {
+		fmt.Fprintf(stdout, " (%d evicted; raise -limit)", ev)
+	}
+	for _, t := range names {
+		fmt.Fprintf(stdout, "  %s=%d", t, counts[t])
+	}
+	_, err = fmt.Fprintf(stdout, "\n\n%s", summary)
+	return err
 }

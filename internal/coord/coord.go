@@ -21,7 +21,6 @@ import (
 	"p2pmss/internal/failure"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/fluid"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/parity"
@@ -30,7 +29,6 @@ import (
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
-	"p2pmss/internal/trace"
 )
 
 // Protocol identifies a coordination protocol; the names are shared with
@@ -168,46 +166,15 @@ type Config struct {
 	RepairInterval float64
 	// RepairMaxRounds bounds repair attempts (default 20).
 	RepairMaxRounds int
-	// Obs bundles the run's observers (metrics, trace, spans, flight
-	// rings) in the struct shared with the live runtime. Non-nil
-	// members override the corresponding legacy fields below during
-	// normalization. Prefer Obs for new code.
+	// Obs attaches the run's observers (metrics, spans, flight rings)
+	// through the struct shared with the live runtime. Observers never
+	// feed back into the simulation: an instrumented run is
+	// event-for-event identical to a bare one. Because the DES is
+	// single-threaded, span IDs and flight records come out in event
+	// order, so the observations of a seeded run are themselves
+	// deterministic. Obs.SpanTrace zero derives the trace ID from the
+	// seed.
 	Obs obs.Observability
-	// Trace, when non-nil, records activations, control packets and
-	// hand-offs.
-	//
-	// Deprecated: set via Obs.Trace.
-	Trace *trace.Tracer
-	// Metrics, when non-nil, registers and updates the run's counters,
-	// gauges and histograms (control packets by type, activations,
-	// arrivals, network traffic) on the registry. Metrics never feed
-	// back into the simulation: an instrumented run is event-for-event
-	// identical to a bare one, and the snapshot of a seeded run is
-	// itself deterministic.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans (handshake rounds,
-	// confirmation waves, commits, hand-offs, streaming, leaf stalls)
-	// with virtual-time timestamps. Like Metrics, span collection never
-	// feeds back into the simulation, and because the DES is
-	// single-threaded, span IDs are allocated in event order — the
-	// trace of a seeded run is byte-identical across repetitions.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace is the trace (session) ID spans are recorded under.
-	// Zero derives one from the seed.
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
-	// Flight, when non-nil, records every peer's engine event/effect
-	// stream into per-peer flight rings with virtual-time stamps, for
-	// topology forensics and sim-vs-live divergence diffing. Like Spans,
-	// recording never feeds back into the simulation.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // DataPlaneMode selects the data-plane simulation strategy.
@@ -318,26 +285,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
-	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if c.Obs.Metrics != nil {
-		c.Metrics = c.Obs.Metrics
-	}
-	if c.Obs.Trace != nil {
-		c.Trace = c.Obs.Trace
-	}
-	if c.Obs.Spans != nil {
-		c.Spans = c.Obs.Spans
-	}
-	if c.Obs.SpanTrace != 0 && c.SpanTrace == 0 {
-		c.SpanTrace = c.Obs.SpanTrace
-	}
-	if c.Obs.Flight != nil {
-		c.Flight = c.Obs.Flight
-	}
-	if c.Spans != nil && c.SpanTrace == 0 {
-		c.SpanTrace = span.DeriveTrace(fmt.Sprintf("coord/seed=%d", c.Seed))
 	}
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = 2*(c.Delta+c.Jitter) + 0.001
@@ -537,9 +484,16 @@ type runner struct {
 	// batchBuf is applyEffects' reusable worklist of effect batches.
 	batchBuf [][]engine.Effect
 
-	// Root "session" span (engine-backed protocols with Config.Spans).
+	// spanTrace is the trace ID spans are recorded under: Obs.SpanTrace,
+	// or one derived from the seed.
+	spanTrace span.TraceID
+	// Root "session" span (engine-backed protocols with Obs.Spans).
 	sessionSpan  span.SpanID
 	sessionStart float64
+
+	// leafRec is the leaf's flight track (engine.LeafID); nil when
+	// Obs.Flight is unset.
+	leafRec *flight.Recorder
 }
 
 // leafID returns the simnet node ID of the leaf peer.
@@ -563,8 +517,11 @@ type peerNode struct {
 	// spans derives causal spans and latency observations from core's
 	// event/effect stream; nil when both spans and metrics are off.
 	spans *engine.SpanTracker
-	// flight records core's event/effect stream; nil when recording is
-	// off.
+	// rec is the peer's flight track, shared by the driver's own "drv"
+	// records and the engine observer; nil when Obs.Flight is unset.
+	rec *flight.Recorder
+	// flight records core's event/effect stream into rec; nil when
+	// recording is off.
 	flight *engine.FlightObserver
 
 	// tcopCommitted/tcopConfirmed mirror the engine's outcome after the
@@ -591,8 +548,13 @@ func newRunner(cfg Config) (*runner, error) {
 	eng := des.New(cfg.Seed)
 	nw := simnet.New(eng)
 	nw.SetDefaultLink(simnet.LinkParams{Latency: cfg.Delta, Jitter: cfg.Jitter, LossProb: cfg.LossProb})
-	nw.Instrument(cfg.Metrics)
-	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Metrics)}
+	nw.Instrument(cfg.Obs.Metrics)
+	r := &runner{cfg: cfg, eng: eng, nw: nw, met: newCoordMetrics(cfg.Obs.Metrics)}
+	r.spanTrace = cfg.Obs.SpanTrace
+	if cfg.Obs.Spans != nil && r.spanTrace == 0 {
+		r.spanTrace = span.DeriveTrace(fmt.Sprintf("coord/seed=%d", cfg.Seed))
+	}
+	r.leafRec = cfg.Obs.Flight.Recorder("", int(engine.LeafID))
 	r.res.Protocol = "?"
 	if cfg.fluid() {
 		// The fluid plane never materializes the content: assignments are
@@ -607,7 +569,8 @@ func newRunner(cfg Config) (*runner, error) {
 		nw.BurstLoss = cs.Hook
 	}
 	for i := 0; i < cfg.N; i++ {
-		p := &peerNode{r: r, id: overlay.PeerID(i), view: overlay.NewView(cfg.N)}
+		p := &peerNode{r: r, id: overlay.PeerID(i), view: overlay.NewView(cfg.N),
+			rec: cfg.Obs.Flight.Recorder("", i)}
 		p.tx = newTransmitter(r, simnet.NodeID(i))
 		r.peers = append(r.peers, p)
 		nw.AttachFunc(simnet.NodeID(i), func(from simnet.NodeID, m simnet.Message) {
@@ -634,7 +597,7 @@ func newRunner(cfg Config) (*runner, error) {
 					// network drops sends from a crashed node.
 					r.fl.Mask(int(cp), eng.Now())
 				}
-				r.trace(int(cp), "crash", "crash-stop")
+				r.record(simnet.NodeID(cp), "crash", 0, 0, 0)
 			})
 		} else {
 			nw.Crash(simnet.NodeID(cp))
@@ -642,9 +605,9 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 	if cfg.Churn != nil {
 		err := cfg.Churn.Install(nw, func(e failure.ChurnEvent) {
-			what := "crash-stop"
+			rejoin := 0
 			if e.Join {
-				what = "rejoin"
+				rejoin = 1
 			}
 			if r.fl != nil {
 				if e.Join {
@@ -653,7 +616,7 @@ func newRunner(cfg Config) (*runner, error) {
 					r.fl.Mask(int(e.Peer), eng.Now())
 				}
 			}
-			r.trace(int(e.Peer), "churn", what)
+			r.record(simnet.NodeID(e.Peer), "churn", 0, 0, rejoin)
 		})
 		if err != nil {
 			return nil, err
@@ -665,20 +628,45 @@ func newRunner(cfg Config) (*runner, error) {
 // sendCtl transmits a coordination message and accounts for it.
 func (r *runner) sendCtl(from, to simnet.NodeID, m simnet.Message, round int) {
 	r.res.ControlPackets++
-	r.met.ctl[ctlTypeName(m)].Inc()
+	typ := ctlTypeName(m)
+	r.met.ctl[typ].Inc()
 	if round > r.res.Rounds {
 		r.res.Rounds = round
 		r.met.rounds.Set(float64(round))
 	}
-	r.trace(int(from), "control", "%T to %d (round %d)", m, to, round)
+	if from == r.leafID() || r.peers[from].core == nil {
+		// An engine peer's sends are already on its track as send_*
+		// effects; the leaf and the baselines have no engine observer.
+		r.record(from, typ, r.overlayID(to), round, 0)
+	}
 	r.nw.Send(from, to, m)
 }
 
-// trace records an event when tracing is enabled.
-func (r *runner) trace(node int, kind, format string, args ...any) {
-	if r.cfg.Trace != nil {
-		r.cfg.Trace.Record(r.eng.Now(), node, kind, format, args...)
+// overlayID maps a simnet node to its overlay (and flight) id: contents
+// peers keep their index, the leaf is engine.LeafID.
+func (r *runner) overlayID(node simnet.NodeID) int {
+	if node == r.leafID() {
+		return int(engine.LeafID)
 	}
+	return int(node)
+}
+
+// record appends a driver-side ("drv") record to node's flight track:
+// facts the engine observer cannot see (crashes, churn, leaf repair)
+// and the protocol steps of peers that run no engine. A no-op when
+// Obs.Flight is unset.
+func (r *runner) record(node simnet.NodeID, typ string, other, round, n int) {
+	rec := r.leafRec
+	if node != r.leafID() {
+		if int(node) < 0 || int(node) >= len(r.peers) {
+			return
+		}
+		rec = r.peers[node].rec
+	}
+	if rec == nil {
+		return
+	}
+	rec.Record(flight.Event{T: r.eng.Now(), Dir: flight.DirDriver, Type: typ, Other: other, Round: round, N: n})
 }
 
 // activate marks peer p active at the given round and (data plane)
@@ -700,7 +688,10 @@ func (p *peerNode) activate(round int, s seq.Sequence, rate float64) {
 		p.r.met.activations.Inc()
 		p.r.met.activePeers.Set(float64(p.r.activeCount))
 		p.r.met.activationRound.Observe(float64(round))
-		p.r.trace(int(p.id), "activate", "round %d, rate %.4f, %d packets", round, rate, len(s))
+		if p.core == nil {
+			// Engine peers record their own activate effect.
+			p.r.record(simnet.NodeID(p.id), "activate", 0, round, len(s))
+		}
 		p.r.scheduleMeasurement()
 	}
 	if p.r.cfg.DataPlane {
@@ -829,9 +820,9 @@ func (r *runner) closeSpans() {
 	for _, p := range r.peers {
 		p.spans.Finish(now)
 	}
-	if r.cfg.Spans != nil && r.sessionSpan != 0 {
-		r.cfg.Spans.Add(span.Span{
-			Trace: r.cfg.SpanTrace, ID: r.sessionSpan,
+	if r.cfg.Obs.Spans != nil && r.sessionSpan != 0 {
+		r.cfg.Obs.Spans.Add(span.Span{
+			Trace: r.spanTrace, ID: r.sessionSpan,
 			Name: "session", Peer: -1, Start: r.sessionStart, End: now,
 		})
 	}

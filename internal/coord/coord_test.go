@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"p2pmss/internal/failure"
+	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/seq"
-	"p2pmss/internal/trace"
 )
 
 func baseCfg() Config {
@@ -504,7 +504,7 @@ func TestTCoPTreeEdgeCount(t *testing.T) {
 }
 
 // A deterministic churn schedule (crash then rejoin) runs inside the
-// simulation and leaves trace evidence; delivery still holds thanks to
+// simulation and leaves flight evidence; delivery still holds thanks to
 // DCoP's redundancy plus parity.
 func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg := DefaultConfig()
@@ -516,7 +516,8 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	cfg.TrackDelivery = true
 	cfg.ContentLen = 300
 	cfg.Rate = 10
-	cfg.Trace = trace.New(4096)
+	fl := flight.NewSet(4096)
+	cfg.Obs.Flight = fl
 	cfg.Churn = &failure.ChurnSchedule{Events: []failure.ChurnEvent{
 		{At: 30, Peer: 3},
 		{At: 60, Peer: 3, Join: true},
@@ -526,9 +527,9 @@ func TestChurnScheduleInSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned := cfg.Trace.Filter("churn")
+	churned := recordsOfType(fl.Events(), "churn")
 	if len(churned) != 3 {
-		t.Errorf("trace has %d churn events, want 3", len(churned))
+		t.Errorf("flight log has %d churn records, want 3", len(churned))
 	}
 	frac := float64(res.DeliveredData) / float64(cfg.ContentLen)
 	if frac < 0.5 {

@@ -261,9 +261,9 @@ func (l *leafNode) Receive(from simnet.NodeID, m simnet.Message) {
 		// Time-to-first-packet: coordination starts at virtual time 0,
 		// so the first arrival's timestamp is the startup delay.
 		l.r.met.timeToFirstPacket.Observe(now)
-		if l.r.cfg.Spans != nil {
-			l.r.cfg.Spans.Add(span.Span{
-				Trace: l.r.cfg.SpanTrace, ID: l.r.cfg.Spans.NextID(),
+		if l.r.cfg.Obs.Spans != nil {
+			l.r.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.r.spanTrace, ID: l.r.cfg.Obs.Spans.NextID(),
 				Parent: l.r.sessionSpan, Name: "first_packet",
 				Peer: -1, Start: now, End: now,
 			})
@@ -373,9 +373,9 @@ func (l *leafNode) repairCheck() {
 	// open a repair wave in the trace.
 	now := r.eng.Now()
 	r.met.stallDuration.Observe(now - l.lastArrivalAt)
-	if r.cfg.Spans != nil {
-		r.cfg.Spans.Add(span.Span{
-			Trace: r.cfg.SpanTrace, ID: r.cfg.Spans.NextID(),
+	if r.cfg.Obs.Spans != nil {
+		r.cfg.Obs.Spans.Add(span.Span{
+			Trace: r.spanTrace, ID: r.cfg.Obs.Spans.NextID(),
 			Parent: r.sessionSpan, Name: "stall", Peer: -1,
 			Start: l.lastArrivalAt, End: now,
 			Detail: fmt.Sprintf("%d missing", len(l.missing)),
@@ -394,7 +394,7 @@ func (l *leafNode) repairCheck() {
 	target := alive[r.eng.Rand().Intn(len(alive))]
 	r.res.RepairRequests++
 	r.met.repairRequests.Inc()
-	r.trace(-1, "repair", "%d missing, asking node %d", len(missing), target)
+	r.record(r.leafID(), "repair", int(target), 0, len(missing))
 	r.nw.Send(r.leafID(), target, repairMsg{Indices: missing})
 	r.eng.After(r.cfg.RepairInterval, l.repairCheck)
 }

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"p2pmss/internal/engine"
+	"p2pmss/internal/flight"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/simnet"
-	"p2pmss/internal/trace"
 )
 
 // simnetLink builds link params matching cfg plus a bandwidth cap.
@@ -215,37 +217,106 @@ func TestPlaybackRequiresDataPlane(t *testing.T) {
 	}
 }
 
+// recordsOfType returns the flight records of one type, in log order.
+func recordsOfType(events []flight.Event, typ string) []flight.Event {
+	var out []flight.Event
+	for _, e := range events {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// The flight log of a run holds its timeline: activations, the leaf's
+// requests (driver records on the leaf's track) and the peers' control
+// sends (engine effects).
 func TestTraceRecordsRun(t *testing.T) {
 	cfg := baseCfg()
-	tr := trace.New(10000)
-	cfg.Trace = tr
+	fl := flight.NewSet(10000)
+	cfg.Obs.Flight = fl
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.Counts()
-	if counts["activate"] == 0 || counts["control"] == 0 {
-		t.Errorf("trace counts = %v", counts)
+	events := fl.Events()
+	activations := recordsOfType(events, "activate")
+	sends := recordsOfType(events, "send_control")
+	if len(activations) == 0 || len(sends) == 0 {
+		t.Errorf("flight records: %d activate, %d send_control", len(activations), len(sends))
+	}
+	requests := 0
+	for _, e := range recordsOfType(events, "request") {
+		if e.Dir != flight.DirDriver {
+			continue // the receiving peer's engine event
+		}
+		requests++
+		if e.Peer != int(engine.LeafID) {
+			t.Fatalf("request recorded as %+v, want the leaf's track", e)
+		}
+	}
+	if requests != cfg.H {
+		t.Errorf("%d leaf request records, want H=%d", requests, cfg.H)
 	}
 	var b strings.Builder
-	if err := tr.Dump(&b); err != nil {
+	if err := fl.DumpJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "activate") {
+	if !strings.Contains(b.String(), `"type":"activate"`) {
 		t.Error("dump missing activations")
 	}
 }
 
 func TestTraceRecordsCrashes(t *testing.T) {
 	cfg := baseCfg()
-	tr := trace.New(10000)
-	cfg.Trace = tr
+	fl := flight.NewSet(10000)
+	cfg.Obs.Flight = fl
 	cfg.CrashPeers = []overlay.PeerID{1, 2}
 	cfg.CrashAt = 1.5
 	if _, err := Run(DCoP, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Filter("crash")) != 2 {
-		t.Errorf("crash events = %d", len(tr.Filter("crash")))
+	crashes := recordsOfType(fl.Events(), "crash")
+	if len(crashes) != 2 {
+		t.Fatalf("crash records = %d", len(crashes))
+	}
+	for i, e := range crashes {
+		if e.Peer != i+1 || e.T != cfg.CrashAt || e.Dir != flight.DirDriver {
+			t.Errorf("crash record %+v, want peer %d at t=%v", e, i+1, cfg.CrashAt)
+		}
+	}
+}
+
+// The four §3.1 baselines run no engine, so the driver records their
+// control sends and activations itself; every leaf record sits on the
+// engine.LeafID track, never on the leaf's simnet node id N.
+func TestBaselinesRecordFlight(t *testing.T) {
+	for _, proto := range []Protocol{Broadcast, Unicast, Centralized, AMS} {
+		cfg := baseCfg()
+		fl := flight.NewSet(10000)
+		cfg.Obs = obs.Observability{Flight: fl}
+		res, err := Run(proto, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		events := fl.Events()
+		sends := 0
+		for _, e := range events {
+			if e.Peer == cfg.N || e.Other == cfg.N {
+				t.Fatalf("%s: record %+v uses the leaf's simnet id %d", proto, e, cfg.N)
+			}
+			if e.Dir != flight.DirDriver {
+				t.Fatalf("%s: non-driver record %+v from a baseline", proto, e)
+			}
+			if e.Type != "activate" {
+				sends++
+			}
+		}
+		if got := len(recordsOfType(events, "activate")); got != res.ActivePeers {
+			t.Errorf("%s: %d activate records, %d active peers", proto, got, res.ActivePeers)
+		}
+		if int64(sends) != res.ControlPackets {
+			t.Errorf("%s: %d send records, %d control packets", proto, sends, res.ControlPackets)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // coordMetrics holds the runner's instrument handles, looked up once at
 // construction so the data plane pays one atomic per event. The zero
 // value (all nil) is the disabled state: every increment no-ops, which
-// is what a run without Config.Metrics uses.
+// is what a run without Config.Obs.Metrics uses.
 type coordMetrics struct {
 	rounds, syncRounds, activePeers *metrics.Gauge
 	activations                     *metrics.Counter

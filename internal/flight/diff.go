@@ -71,7 +71,9 @@ func (d *Divergence) String() string {
 
 // FirstDivergence aligns two flight logs per peer track and returns the
 // first event where they disagree, or nil when every track matches.
-// Events are compared by driver-independent identity (Dir, Type, Other,
+// Driver records (DirDriver) are always skipped: only the simulator
+// writes them, so a sim log and a live log of the same run agree
+// without them. Events are compared by driver-independent identity (Dir, Type, Other,
 // Round, N) — never by timestamp, since the sides run on different
 // clocks (DES virtual time vs wall time). Tracks are scanned in
 // (session, peer) order and the lowest diverging track wins, so the
@@ -138,7 +140,7 @@ type trackKey struct {
 func tracks(events []Event, opt DiffOptions) map[trackKey][]Event {
 	out := make(map[trackKey][]Event)
 	for _, e := range events {
-		if opt.Session != "" && e.Session != opt.Session {
+		if e.Dir == DirDriver || opt.Session != "" && e.Session != opt.Session {
 			continue
 		}
 		if !opt.IncludeTimers && e.Dir == "ev" && strings.HasPrefix(e.Type, "timer_") {

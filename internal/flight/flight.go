@@ -20,9 +20,10 @@ import (
 	"sync"
 )
 
-// Event is one recorded occurrence on a peer's flight track: either an
-// engine event the peer handled (Dir "ev") or an effect it emitted
-// (Dir "eff"). The identity fields (Dir, Type, Other, Round, N) are
+// Event is one recorded occurrence on a peer's flight track: an engine
+// event the peer handled (Dir "ev"), an effect it emitted (Dir "eff"),
+// or a fact the simulator's driver recorded itself (Dir DirDriver). The
+// identity fields (Dir, Type, Other, Round, N) are
 // driver-independent — a simulated and a live run of the same seed
 // record the same identities in the same per-peer order — while Seq and
 // T carry the recording driver's local ordering and clock (virtual time
@@ -38,7 +39,8 @@ type Event struct {
 	Session string `json:"sess,omitempty"`
 	// Peer is the recording peer's overlay id.
 	Peer int `json:"peer"`
-	// Dir is "ev" for handled events, "eff" for emitted effects.
+	// Dir is "ev" for handled events, "eff" for emitted effects, and
+	// DirDriver for driver-side records.
 	Dir string `json:"dir"`
 	// Type names the event or effect kind (see engine.FlightObserver).
 	Type string `json:"type"`
@@ -50,9 +52,18 @@ type Event struct {
 	// Round is the protocol round carried by the event or effect.
 	Round int `json:"round,omitempty"`
 	// N is the record's magnitude: assigned-sequence length, repair
-	// index count, hand-off share count, or timer generation.
+	// index count, hand-off share count, or timer generation (1 marks a
+	// rejoin on a driver "churn" record).
 	N int `json:"n,omitempty"`
 }
+
+// DirDriver marks a record the simulator's driver writes itself rather
+// than the engine observer: "crash", "churn" and leaf "repair", plus
+// the control sends (typed by message: "request", "control", ...) and
+// "activate" of senders that run no engine — the leaf and the §3.1
+// baselines. The live runtime never writes them, so FirstDivergence
+// skips them.
+const DirDriver = "drv"
 
 // Key is the driver-independent identity of an event — everything but
 // the local sequence number, timestamp and session label.

@@ -223,3 +223,33 @@ func TestFirstDivergenceSessionFilter(t *testing.T) {
 		t.Errorf("unfiltered diff = %+v, want s2 divergence", d)
 	}
 }
+
+func TestFirstDivergenceSkipsDriverRecords(t *testing.T) {
+	// A simulated log carries driver records (the leaf's requests, a
+	// crash, a baseline-style activation) that the live runtime never
+	// writes; the engine tracks still agree, so the logs must too.
+	sim := []Event{
+		ev(-1, DirDriver, "request", 0, 1, 0),
+		ev(-1, DirDriver, "request", 2, 1, 0),
+		ev(0, "ev", "request", -1, 1, 0),
+		ev(0, "eff", "activate", 0, 1, 0),
+		ev(0, DirDriver, "crash", 0, 0, 0),
+		ev(2, DirDriver, "churn", 0, 0, 1),
+		ev(-1, DirDriver, "repair", 2, 0, 7),
+	}
+	live := []Event{
+		ev(0, "ev", "request", -1, 1, 0),
+		ev(0, "eff", "activate", 0, 1, 0),
+	}
+	if d := FirstDivergence(Log{"sim", sim}, Log{"live", live}, DiffOptions{}); d != nil {
+		t.Errorf("driver records counted as divergence:\n%s", d)
+	}
+	if d := FirstDivergence(Log{"sim", sim}, Log{"live", live}, DiffOptions{IncludeTimers: true}); d != nil {
+		t.Errorf("driver records counted as divergence with IncludeTimers:\n%s", d)
+	}
+	// Engine records on the same tracks are still compared.
+	live[1].Round = 2
+	if d := FirstDivergence(Log{"sim", sim}, Log{"live", live}, DiffOptions{}); d == nil || d.Peer != 0 || d.Index != 1 {
+		t.Errorf("engine divergence beside driver records = %+v, want peer 0 event 1", d)
+	}
+}

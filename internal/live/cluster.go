@@ -10,7 +10,6 @@ import (
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/protocol"
-	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
 
@@ -63,29 +62,12 @@ type ClusterConfig struct {
 	Retries          int
 	// Seed seeds all peers deterministically; 0 uses the clock.
 	Seed int64
-	// Obs bundles the session's observers in the struct shared with
-	// the simulation. Non-nil members override the corresponding
-	// legacy fields below; Obs.Trace and Obs.SpanTrace are ignored
-	// (the cluster derives per-session trace IDs itself). Prefer Obs
-	// for new code.
+	// Obs attaches the session's observers, shared by every peer and
+	// the leaf (see PeerConfig.Obs). Obs.Metrics also instruments the
+	// transport, ready to serve via metrics.DebugMux; Obs.Spans is
+	// ready to export via span.WritePerfetto; Obs.Flight is dumpable via
+	// Cluster.DumpFlight and served on /debug/flight.
 	Obs obs.Observability
-	// Metrics, when non-nil, instruments the whole session — every
-	// peer, the leaf, and the transport — on one shared registry,
-	// ready to serve via metrics.DebugMux.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects the session's causal spans on one
-	// shared collector, ready to export via span.WritePerfetto.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// Flight, when non-nil, records every peer's engine event/effect
-	// stream into per-peer flight rings (see internal/flight), dumpable
-	// via Cluster.DumpFlight and served on /debug/flight.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // Cluster is a running live session.
@@ -111,17 +93,6 @@ type Cluster struct {
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Content == nil {
 		return nil, fmt.Errorf("live: cluster needs a content")
-	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.Flight != nil {
-		cfg.Flight = cfg.Obs.Flight
 	}
 	if cfg.Peers <= 0 {
 		return nil, fmt.Errorf("live: cluster needs at least one peer")
@@ -157,7 +128,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
+			ep.Instrument(cfg.Obs.Metrics)
 			roster = append(roster, ep.Name())
 			transports[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
 				lb.bind(h)
@@ -171,7 +142,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		leafLB.ep = lep
-		lep.Instrument(cfg.Metrics)
+		lep.Instrument(cfg.Obs.Metrics)
 		leafTransport = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
 			leafLB.bind(h)
 			return leafLB.ep, nil
@@ -186,7 +157,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
+			ep.Instrument(cfg.Obs.Metrics)
 			ep.SetImpairment(imp)
 			roster = append(roster, ep.Name())
 			transports[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
@@ -201,7 +172,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		leafLB.ep = lep
-		lep.Instrument(cfg.Metrics)
+		lep.Instrument(cfg.Obs.Metrics)
 		lep.SetImpairment(imp)
 		leafTransport = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
 			leafLB.bind(h)
@@ -209,7 +180,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		})
 	} else {
 		c.fabric = clusterFabric(cfg.QueueCap, cfg.QueuePolicy)
-		c.fabric.Instrument(cfg.Metrics)
+		c.fabric.Instrument(cfg.Obs.Metrics)
 		c.fabric.SetImpairment(cfg.Impair)
 		for i := 0; i < cfg.Peers; i++ {
 			name := fmt.Sprintf("cp%d", i)
@@ -220,8 +191,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	c.roster = roster
-	c.flight = cfg.Flight
-	c.metrics = cfg.Metrics
+	c.flight = cfg.Obs.Flight
+	c.metrics = cfg.Obs.Metrics
 	c.protoName = string(cfg.Protocol)
 	if c.protoName == "" {
 		c.protoName = string(protocol.TCoP)
@@ -243,9 +214,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			HandshakeTimeout: cfg.HandshakeTimeout,
 			Retries:          cfg.Retries,
 			Seed:             seed,
-			Metrics:          cfg.Metrics,
-			Spans:            cfg.Spans,
-			Flight:           cfg.Flight.Recorder("", i),
+			Obs:              cfg.Obs,
 		}, transports[i])
 		if err != nil {
 			c.Close()
@@ -268,8 +237,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		RepairAfter:  cfg.RepairAfter,
 		RequestRetry: cfg.RequestRetry,
 		Seed:         leafSeed,
-		Metrics:      cfg.Metrics,
-		Spans:        cfg.Spans,
+		Obs:          cfg.Obs,
 		Introspect:   c.introspect,
 	}, leafTransport)
 	if err != nil {

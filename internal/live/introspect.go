@@ -47,7 +47,7 @@ func (c *Cluster) Snapshot() overlay.Snapshot {
 }
 
 // Flight returns the cluster's flight recorder set (nil when
-// ClusterConfig.Flight was unset).
+// ClusterConfig.Obs.Flight was unset).
 func (c *Cluster) Flight() *flight.Set { return c.flight }
 
 // DumpFlight writes the cluster's flight log as JSONL in deterministic
@@ -248,7 +248,7 @@ func (nc *NodeCluster) protoName() string {
 }
 
 // Flight returns the population's shared flight recorder set (nil when
-// NodesConfig.Flight was unset).
+// NodesConfig.Obs.Flight was unset).
 func (nc *NodeCluster) Flight() *flight.Set { return nc.flight }
 
 // DebugHandlers returns the population's extra debug endpoints, ready

@@ -14,6 +14,7 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/overlay"
 	"p2pmss/internal/transport"
 )
@@ -57,8 +58,7 @@ func TestClusterOverlayEdgesMatchOutcomes(t *testing.T) {
 		Impair:      transport.Impairment{Seed: 424, Loss: 0.05, Reorder: 0.02, ReorderWindow: 4},
 		RepairAfter: 250 * time.Millisecond,
 		Seed:        424,
-		Metrics:     reg,
-		Flight:      fl,
+		Obs:         obs.Observability{Metrics: reg, Flight: fl},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +188,7 @@ func TestNodeClusterDebugEndpointsUnderChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             717,
-		Metrics:          reg,
-		Flight:           fl,
+		Obs:              obs.Observability{Metrics: reg, Flight: fl},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
@@ -59,27 +58,15 @@ type LeafConfig struct {
 	Session SessionID
 	// Seed seeds peer selection; 0 uses the clock.
 	Seed int64
-	// Obs bundles the leaf's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.Flight are ignored (the leaf
-	// runs no coordination engine to record). Prefer Obs for new code.
+	// Obs attaches the leaf's observers through the struct shared with
+	// the simulation. Obs.Metrics receives the leaf's counters
+	// (arrivals, duplicates, repair requests, retries, failovers) and
+	// delivery-progress gauges; Obs.Spans collects the session's causal
+	// spans, with the leaf opening the root "session" span every
+	// member's spans nest under, on the trace chosen as for PeerConfig.
+	// Obs.Flight is ignored: the leaf runs no coordination engine to
+	// record.
 	Obs obs.Observability
-	// Metrics, when non-nil, receives the leaf's counters (arrivals,
-	// duplicates, repair requests, retries, failovers) and
-	// delivery-progress gauges.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects the session's causal spans; the leaf
-	// opens the root "session" span every member's spans nest under.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace identifies the session's trace; zero derives it from the
-	// Session id (matching the peers' derivation).
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
 	// Introspect, when non-nil, is invoked on a Wait timeout; whatever
 	// it returns is appended to the timeout error. StartCluster wires it
 	// to an automatic flight+topology dump so a stalled session
@@ -95,6 +82,8 @@ type Leaf struct {
 	cfg LeafConfig
 	ep  transport.Endpoint
 	met leafMetrics
+	// spanTrace is the session's resolved span trace ID.
+	spanTrace span.TraceID
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -141,22 +130,9 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.SpanTrace != 0 && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = cfg.Obs.SpanTrace
-	}
-	if cfg.Spans != nil && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
-	}
 	l := &Leaf{
 		cfg:       cfg,
+		spanTrace: sessionTrace(cfg.Obs, cfg.Session),
 		rng:       rand.New(rand.NewSource(seed)),
 		asm:       content.NewAssembler(cfg.ContentSize, cfg.PacketSize),
 		seen:      make(map[string]bool),
@@ -171,7 +147,7 @@ func NewLeaf(cfg LeafConfig, tr Transport) (*Leaf, error) {
 		return nil, err
 	}
 	l.ep = ep
-	l.met = newLeafMetrics(cfg.Metrics, cfg.Session)
+	l.met = newLeafMetrics(cfg.Obs.Metrics, cfg.Session)
 	return l, nil
 }
 
@@ -208,12 +184,12 @@ func (l *Leaf) Start() error {
 	selIdx, spareIdx := engine.SelectInitial(l.rng, len(l.cfg.Roster), l.cfg.H)
 	l.sessionStart = liveNow()
 	var root span.Context
-	if l.cfg.Spans != nil {
+	if l.cfg.Obs.Spans != nil {
 		// Root "session" span on the leaf track (-1); closed in Close.
 		// Requests carry its context so every member's handshake nests
 		// under it.
-		l.sessionSpan = l.cfg.Spans.NextID()
-		root = span.Context{Trace: l.cfg.SpanTrace, Span: l.sessionSpan}
+		l.sessionSpan = l.cfg.Obs.Spans.NextID()
+		root = span.Context{Trace: l.spanTrace, Span: l.sessionSpan}
 	}
 	l.mu.Unlock()
 	sel := make([]string, len(selIdx))
@@ -327,9 +303,9 @@ func (l *Leaf) handle(m transport.Msg) {
 		l.gotFirst = true
 		now := liveNow()
 		l.met.timeToFirstPacket.Observe(now - l.sessionStart)
-		if l.cfg.Spans != nil {
-			l.cfg.Spans.Add(span.Span{
-				Trace: l.cfg.SpanTrace, ID: l.cfg.Spans.NextID(), Parent: l.sessionSpan,
+		if l.cfg.Obs.Spans != nil {
+			l.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.spanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
 				Name: "first_packet", Peer: -1, Start: now, End: now,
 			})
 		}
@@ -396,10 +372,10 @@ func (l *Leaf) repairLoop() {
 			l.lastGain = time.Now() // back off until the next stall
 			if len(missing) > 0 {
 				l.met.stallDuration.Observe(stalledFor)
-				if l.cfg.Spans != nil {
+				if l.cfg.Obs.Spans != nil {
 					now := liveNow()
-					l.cfg.Spans.Add(span.Span{
-						Trace: l.cfg.SpanTrace, ID: l.cfg.Spans.NextID(), Parent: l.sessionSpan,
+					l.cfg.Obs.Spans.Add(span.Span{
+						Trace: l.spanTrace, ID: l.cfg.Obs.Spans.NextID(), Parent: l.sessionSpan,
 						Name: "stall", Peer: -1, Start: now - stalledFor, End: now,
 						Detail: fmt.Sprintf("%d missing", len(missing)),
 					})
@@ -548,8 +524,8 @@ func (l *Leaf) Close() error {
 		close(l.stopCh)
 		l.mu.Lock()
 		if l.sessionSpan != 0 {
-			l.cfg.Spans.Add(span.Span{
-				Trace: l.cfg.SpanTrace, ID: l.sessionSpan,
+			l.cfg.Obs.Spans.Add(span.Span{
+				Trace: l.spanTrace, ID: l.sessionSpan,
 				Name: "session", Peer: -1, Start: l.sessionStart, End: liveNow(),
 				Detail: string(l.cfg.Session),
 			})

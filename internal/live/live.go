@@ -40,7 +40,6 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/engine"
-	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/parity"
@@ -58,6 +57,15 @@ var liveEpoch = time.Now()
 
 // liveNow returns the current span timestamp (seconds since liveEpoch).
 func liveNow() float64 { return time.Since(liveEpoch).Seconds() }
+
+// sessionTrace is the span trace ID a session's members record under:
+// o.SpanTrace, or one derived from the session id when spans are on.
+func sessionTrace(o obs.Observability, sid SessionID) span.TraceID {
+	if o.Spans != nil && o.SpanTrace == 0 {
+		return span.DeriveTrace("live/session=" + string(sid))
+	}
+	return o.SpanTrace
+}
 
 // Message type tags.
 const (
@@ -206,36 +214,17 @@ type PeerConfig struct {
 	Retries int
 	// Seed seeds the peer's random selection; 0 uses the clock.
 	Seed int64
-	// Obs bundles the peer's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace is ignored (sim-only) and Obs.Flight is
-	// resolved to this peer's per-(session, index) recorder at start.
-	// Prefer Obs for new code.
+	// Obs attaches the peer's observers through the struct shared with
+	// the simulation. Obs.Metrics receives the peer's counters (data
+	// packets sent, hand-offs, activations, repair packets served,
+	// per-session retries and failovers); Obs.Spans collects its causal
+	// coordination spans under Obs.SpanTrace, or, when that is zero, a
+	// trace derived from Session so every member agrees without
+	// coordination; Obs.Flight records its engine event/effect stream
+	// with wall-clock (seconds since process start) stamps on the
+	// (Session, engine id) track. All members of a session should share
+	// one registry, collector and flight set.
 	Obs obs.Observability
-	// Metrics, when non-nil, receives the peer's counters (data packets
-	// sent, hand-offs, activations, repair packets served, per-session
-	// retries and failovers). Several peers may share one registry.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal coordination spans (handshake
-	// rounds, confirmation waves, commits, hand-offs, streaming). All
-	// members of a session should share one collector.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// SpanTrace identifies the session's trace; zero derives it from the
-	// Session id so every member agrees without coordination.
-	//
-	// Deprecated: set via Obs.SpanTrace.
-	SpanTrace span.TraceID
-	// Flight, when non-nil, records the peer's engine event/effect
-	// stream into the given flight ring with wall-clock (seconds since
-	// process start) stamps; nil disables recording at zero cost.
-	//
-	// Deprecated: set via Obs.Flight (a *flight.Set; the peer resolves
-	// its own recorder from it).
-	Flight *flight.Recorder
 	// PayloadMemoCap bounds the derived-payload memo (entries); the memo
 	// is LRU-evicted past the cap. Zero means 4096.
 	PayloadMemoCap int
@@ -269,22 +258,6 @@ func (cfg *PeerConfig) normalize() error {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
-	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	// Obs.Flight is per-set, not per-recorder; NewPeer resolves it once
-	// the peer knows its roster index.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.SpanTrace != 0 && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = cfg.Obs.SpanTrace
-	}
-	if cfg.Spans != nil && cfg.SpanTrace == 0 {
-		cfg.SpanTrace = span.DeriveTrace("live/session=" + string(cfg.Session))
 	}
 	if cfg.PayloadMemoCap <= 0 {
 		cfg.PayloadMemoCap = 4096
@@ -391,7 +364,7 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	if err := ecfg.Normalize(); err != nil {
 		return nil, err
 	}
-	p.met = newPeerMetrics(cfg.Metrics, ep.Name(), cfg.Session)
+	p.met = newPeerMetrics(cfg.Obs.Metrics, ep.Name(), cfg.Session)
 	p.payloads.cap = cfg.PayloadMemoCap
 	p.payloads.evictions = p.met.memoEvictions
 	p.mu.Lock()
@@ -400,17 +373,13 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 	}
 	self := p.idOfLocked(ep.Name())
 	p.core = engine.NewPeer(ecfg, self, rand.New(rand.NewSource(cfg.Seed)))
-	p.spans = engine.NewSpanTracker(cfg.Spans, cfg.SpanTrace, int(self), engine.SpanMetrics{
+	p.spans = engine.NewSpanTracker(cfg.Obs.Spans, sessionTrace(cfg.Obs, cfg.Session), int(self), engine.SpanMetrics{
 		HandshakeRTT:   p.met.handshakeRTT,
 		CommitLatency:  p.met.commitLatency,
 		RetryWaveDepth: p.met.retryWaveDepth,
 	})
-	if cfg.Flight == nil {
-		// Obs carries the whole flight set; the per-peer recorder can
-		// only be resolved here, once the roster index is known.
-		cfg.Flight = cfg.Obs.Flight.Recorder(string(cfg.Session), int(self))
-	}
-	p.flight = engine.NewFlightObserver(cfg.Flight)
+	// The flight track is keyed by the engine id, known only now.
+	p.flight = engine.NewFlightObserver(cfg.Obs.Flight.Recorder(string(cfg.Session), int(self)))
 	p.mu.Unlock()
 	go p.streamLoop()
 	return p, nil

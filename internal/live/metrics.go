@@ -14,7 +14,7 @@ func withSession(sid SessionID, labels ...string) []string {
 
 // peerMetrics holds a contents peer's instrument handles, looked up once
 // at construction. The zero value (all nil) records nothing, which is
-// what a peer without PeerConfig.Metrics uses.
+// what a peer without PeerConfig.Obs.Metrics uses.
 type peerMetrics struct {
 	// sent is labeled by peer address so per-peer transmit load is
 	// visible on /metrics; the rest aggregate across the cluster (and,

@@ -12,6 +12,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 )
 
 // scrape GETs url and returns each non-comment sample line as
@@ -77,7 +78,7 @@ func TestClusterMetricsScrapeMidStream(t *testing.T) {
 		Interval: 4,
 		Rate:     600,
 		Seed:     42,
-		Metrics:  reg,
+		Obs:      obs.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestClusterMetricsTCP(t *testing.T) {
 		Rate:     2000,
 		UseTCP:   true,
 		Seed:     7,
-		Metrics:  reg,
+		Obs:      obs.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,8 @@ import (
 	"p2pmss/internal/content"
 	"p2pmss/internal/disco"
 	"p2pmss/internal/flight"
-	"p2pmss/internal/metrics"
 	"p2pmss/internal/obs"
 	"p2pmss/internal/protocol"
-	"p2pmss/internal/span"
 	"p2pmss/internal/transport"
 )
 
@@ -72,27 +70,11 @@ type NodeConfig struct {
 	// Seed seeds per-session randomness deterministically; 0 uses the
 	// clock.
 	Seed int64
-	// Obs bundles the node's observers in the struct shared with the
-	// simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.SpanTrace are ignored (trace IDs
-	// are derived per session). Prefer Obs for new code.
+	// Obs attaches the node's observers to the node and every session
+	// it serves or opens (see PeerConfig.Obs). Obs.SpanTrace is ignored:
+	// each session records under a trace derived from its id, so all
+	// nodes agree. All nodes of a population share one flight set.
 	Obs obs.Observability
-	// Metrics, when non-nil, instruments the node and all its sessions.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans for every session this
-	// node participates in; each session gets its own trace, derived
-	// from the session id so all nodes agree.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// Flight, when non-nil, records every serving peer's engine
-	// event/effect stream into per-(session, peer) flight rings; all
-	// nodes of a population share one set.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // sessionShards fixes the width of the node's session table. Power of
@@ -181,17 +163,6 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("live: unknown protocol %q", cfg.Protocol)
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.Flight != nil {
-		cfg.Flight = cfg.Obs.Flight
-	}
 	n := &Node{
 		cfg:      cfg,
 		carry:    cfg.Directory != nil || cfg.Discover,
@@ -211,7 +182,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &nodeRuntime{ep: ep, met: newNodeMetrics(cfg.Metrics, ep.Name())}
+	rt := &nodeRuntime{ep: ep, met: newNodeMetrics(cfg.Obs.Metrics, ep.Name())}
 	switch {
 	case cfg.Directory != nil:
 		rt.dir = cfg.Directory
@@ -230,7 +201,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 			Interval: cfg.AnnounceInterval,
 			TTL:      cfg.DirectoryTTL,
 			Seed:     dseed,
-			Metrics:  cfg.Metrics,
+			Metrics:  cfg.Obs.Metrics,
 		})
 		if err != nil {
 			ep.Close()
@@ -357,15 +328,13 @@ func (n *Node) admit(rt *nodeRuntime) bool {
 	return true
 }
 
-// rosterIndex returns the node's position in a session roster — the
-// engine peer id its serving peer runs under — or -1 when off-roster.
-func rosterIndex(roster []string, self string) int {
-	for i, a := range roster {
-		if a == self {
-			return i
-		}
-	}
-	return -1
+// sessionObs is the observer bundle of every session on the node: the
+// node's own, minus SpanTrace, so each session derives its trace from
+// its id.
+func (n *Node) sessionObs() obs.Observability {
+	o := n.cfg.Obs
+	o.SpanTrace = 0
+	return o
 }
 
 // sessionSeed derives a deterministic per-session seed.
@@ -399,9 +368,7 @@ func (n *Node) newServingPeerLocked(rt *nodeRuntime, sh *sessionShard, sid Sessi
 		HandshakeTimeout: n.cfg.HandshakeTimeout,
 		Retries:          n.cfg.Retries,
 		Seed:             n.sessionSeed(sid),
-		Metrics:          n.cfg.Metrics,
-		Spans:            n.cfg.Spans,
-		Flight:           n.cfg.Flight.Recorder(string(sid), rosterIndex(roster, rt.ep.Name())),
+		Obs:              n.sessionObs(),
 	}, WithAttach(func(transport.Handler) (transport.Endpoint, error) { return se, nil }))
 	if err != nil {
 		n.sessions.Add(-1)
@@ -508,8 +475,7 @@ func (n *Node) Open(sc SessionConfig) (*LeafSession, error) {
 		RequestRetry:  sc.RequestRetry,
 		Session:       sid,
 		Seed:          seed,
-		Metrics:       n.cfg.Metrics,
-		Spans:         n.cfg.Spans,
+		Obs:           n.sessionObs(),
 	}, WithAttach(func(transport.Handler) (transport.Endpoint, error) { return se, nil }))
 	if err != nil {
 		n.sessions.Add(-1)
@@ -830,26 +796,10 @@ type NodesConfig struct {
 	QueuePolicy transport.QueuePolicy
 	// Seed seeds all nodes deterministically; 0 uses the clock.
 	Seed int64
-	// Obs bundles the population's observers in the struct shared with
-	// the simulation. Non-nil members override the corresponding legacy
-	// fields below; Obs.Trace and Obs.SpanTrace are ignored. Prefer
-	// Obs for new code.
+	// Obs attaches the population's observers, shared by every node
+	// (see NodeConfig.Obs); Obs.Metrics also instruments the transport,
+	// and Obs.Flight is served on /debug/flight via DebugHandlers.
 	Obs obs.Observability
-	// Metrics instruments all nodes and the transport when non-nil.
-	//
-	// Deprecated: set via Obs.Metrics.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, collects causal spans across every node and
-	// session on one shared collector.
-	//
-	// Deprecated: set via Obs.Spans.
-	Spans *span.Collector
-	// Flight, when non-nil, records every serving peer's engine
-	// event/effect stream across all nodes and sessions on one shared
-	// set, served on /debug/flight via DebugHandlers.
-	//
-	// Deprecated: set via Obs.Flight.
-	Flight *flight.Set
 }
 
 // NodeCluster is a running node population.
@@ -878,18 +828,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 	if cfg.UseTCP && cfg.Impair.Enabled() {
 		return nil, fmt.Errorf("live: impairment needs a datagram transport (in-memory fabric or UDP), not TCP")
 	}
-	// Fold the consolidated observability bundle into the legacy
-	// per-observer fields, which stay the internally-consumed ones.
-	if cfg.Obs.Metrics != nil {
-		cfg.Metrics = cfg.Obs.Metrics
-	}
-	if cfg.Obs.Spans != nil {
-		cfg.Spans = cfg.Obs.Spans
-	}
-	if cfg.Obs.Flight != nil {
-		cfg.Flight = cfg.Obs.Flight
-	}
-	nc := &NodeCluster{flight: cfg.Flight}
+	nc := &NodeCluster{flight: cfg.Obs.Flight}
 	var roster []string
 	trs := make([]Transport, cfg.Nodes)
 	if cfg.UseTCP {
@@ -901,7 +840,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 				return nil, err
 			}
 			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
+			ep.Instrument(cfg.Obs.Metrics)
 			roster = append(roster, ep.Name())
 			trs[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
 				lb.bind(h)
@@ -922,7 +861,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 				return nil, err
 			}
 			lb.ep = ep
-			ep.Instrument(cfg.Metrics)
+			ep.Instrument(cfg.Obs.Metrics)
 			ep.SetImpairment(imp)
 			roster = append(roster, ep.Name())
 			trs[i] = WithAttach(func(h transport.Handler) (transport.Endpoint, error) {
@@ -932,7 +871,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 		}
 	} else {
 		nc.fabric = clusterFabric(cfg.QueueCap, cfg.QueuePolicy)
-		nc.fabric.Instrument(cfg.Metrics)
+		nc.fabric.Instrument(cfg.Obs.Metrics)
 		nc.fabric.SetImpairment(cfg.Impair)
 		for i := range trs {
 			name := fmt.Sprintf("node%d", i)
@@ -960,9 +899,7 @@ func StartNodes(cfg NodesConfig) (*NodeCluster, error) {
 			MaxSessions:      cfg.MaxSessions,
 			ReapAfter:        cfg.ReapAfter,
 			Seed:             seed,
-			Metrics:          cfg.Metrics,
-			Spans:            cfg.Spans,
-			Flight:           cfg.Flight,
+			Obs:              cfg.Obs,
 		}
 		if cfg.Discover {
 			// No static roster: each node announces its own catalog and

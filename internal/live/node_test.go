@@ -10,6 +10,7 @@ import (
 
 	"p2pmss/internal/content"
 	"p2pmss/internal/metrics"
+	"p2pmss/internal/obs"
 	"p2pmss/internal/transport"
 )
 
@@ -43,7 +44,7 @@ func TestNodeSessionsChaos(t *testing.T) {
 		Delta:            5 * time.Millisecond,
 		HandshakeTimeout: 80 * time.Millisecond,
 		Seed:             901,
-		Metrics:          reg,
+		Obs:              obs.Observability{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +214,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 			Delta:            5 * time.Millisecond,
 			HandshakeTimeout: 60 * time.Millisecond,
 			Seed:             int64(i) + 1,
-			Metrics:          reg,
+			Obs:              obs.Observability{Metrics: reg},
 		}, WithFabric(f, name))
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +231,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		PacketSize:  64,
 		RepairAfter: 200 * time.Millisecond,
 		Seed:        52,
-		Metrics:     reg,
+		Obs:         obs.Observability{Metrics: reg},
 	}, WithFabric(f, "leaf"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,12 @@
-// Package obs consolidates the observability configuration shared by
-// the simulated (coord) and live runtimes into one struct. Before it
-// existed every config carried its own parallel Trace/Metrics/Spans/
-// SpanTrace/Flight fields; Observability is the single place to set
-// them, and each runtime folds it into its legacy fields during
-// normalization, so the two spellings stay equivalent.
+// Package obs holds the observability configuration shared by the
+// simulated (coord) and live runtimes: one struct, accepted by every
+// config as its Obs field, is the only way to attach observers.
 package obs
 
 import (
 	"p2pmss/internal/flight"
 	"p2pmss/internal/metrics"
 	"p2pmss/internal/span"
-	"p2pmss/internal/trace"
 )
 
 // Observability bundles every optional observer a run can attach. The
@@ -21,10 +17,6 @@ type Observability struct {
 	// Metrics, when non-nil, registers and updates the run's counters,
 	// gauges and histograms on the registry.
 	Metrics *metrics.Registry
-	// Trace, when non-nil, records activations, control packets and
-	// hand-offs. Simulation only: the live runtime has no virtual
-	// clock to stamp trace events with, and ignores it.
-	Trace *trace.Tracer
 	// Spans, when non-nil, collects causal spans (handshake rounds,
 	// confirmation waves, commits, hand-offs, streaming, leaf stalls).
 	Spans *span.Collector
@@ -34,6 +26,9 @@ type Observability struct {
 	SpanTrace span.TraceID
 	// Flight, when non-nil, records every peer's engine event/effect
 	// stream into per-peer flight rings for topology forensics and
-	// sim-vs-live divergence diffing.
+	// sim-vs-live divergence diffing. The simulator also records its
+	// driver-side facts there (crashes, churn, leaf repair, and the
+	// control sends and activations of peers without an engine) as
+	// Dir "drv" records.
 	Flight *flight.Set
 }

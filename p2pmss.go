@@ -50,7 +50,6 @@ import (
 	"p2pmss/internal/protocol"
 	"p2pmss/internal/schedule"
 	"p2pmss/internal/span"
-	"p2pmss/internal/trace"
 	"p2pmss/internal/transport"
 )
 
@@ -111,40 +110,22 @@ const (
 	PlaneFluid  = coord.PlaneFluid
 )
 
-// Tracer records simulation events (activations, control packets,
-// hand-offs, crashes) for timeline analysis; see cmd/msstrace.
-type Tracer = trace.Tracer
-
-// TraceEvent is one recorded trace occurrence.
-type TraceEvent = trace.Event
-
-// NewTracer returns a tracer holding up to capacity events.
-func NewTracer(capacity int) *Tracer { return trace.New(capacity) }
-
-// WriteTraceJSONL writes trace events to w as JSON Lines, one compact
-// object per event, in the given order.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
-	return trace.WriteJSONL(w, events)
-}
-
 // ---- observability --------------------------------------------------------
 
 // Observability bundles every optional observer a run can attach —
-// metrics registry, event tracer (sim only), span collector + trace ID,
-// and flight recorder set — in one struct accepted by both the
-// simulation (SimConfig.Obs) and the live runtime (LivePeerConfig.Obs,
-// LiveClusterConfig.Obs, LiveNodeConfig.Obs, LiveNodesConfig.Obs,
-// LiveLeafConfig.Obs). The zero value attaches nothing; the per-config
-// Metrics/Trace/Spans/SpanTrace/Flight fields it supersedes remain as
-// deprecated aliases.
+// metrics registry, span collector + trace ID, and flight recorder set
+// — in one struct accepted by both the simulation (SimConfig.Obs) and
+// the live runtime (LivePeerConfig.Obs, LiveClusterConfig.Obs,
+// LiveNodeConfig.Obs, LiveNodesConfig.Obs, LiveLeafConfig.Obs). It is
+// the only way to attach observers; the zero value attaches nothing.
 type Observability = obs.Observability
 
 // ---- metrics --------------------------------------------------------------
 
 // MetricsRegistry is a concurrency-safe registry of named counters,
 // gauges and histograms. A nil registry disables all instrumentation at
-// near-zero cost, so SimConfig.Metrics / LiveClusterConfig.Metrics can be
-// left unset in the common case.
+// near-zero cost, so Observability.Metrics can be left unset in the
+// common case.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is a deterministic point-in-time copy of a registry.
@@ -309,8 +290,8 @@ type SpanCollector = span.Collector
 // SpanSummaryRow is one (trace, name) group's latency quantiles.
 type SpanSummaryRow = span.SummaryRow
 
-// SpanTraceID identifies one traced session or run; SimConfig.SpanTrace
-// takes one.
+// SpanTraceID identifies one traced session or run;
+// Observability.SpanTrace takes one.
 type SpanTraceID = span.TraceID
 
 // NewSpanCollector returns an empty span collector.
@@ -618,8 +599,7 @@ type OverlayHealth = overlay.Health
 type FlightRecorder = flight.Recorder
 
 // FlightSet is a population of per-peer flight recorders sharing one
-// capacity, attachable to SimConfig.Flight, LiveClusterConfig.Flight
-// and LiveNodesConfig.Flight.
+// capacity, attachable to any run as Observability.Flight.
 type FlightSet = flight.Set
 
 // FlightEvent is one recorded engine event or effect.
