@@ -42,10 +42,11 @@ const (
 )
 
 // outcomeLines formats per-peer outcomes into canonical comparison
-// lines. Rates are excluded: the sim plans hand-offs δ after the mark
-// while the live runtime applies them at the transmit position, so
-// in-flight rate bookkeeping may differ transiently; tree shape and
-// assignment unions are the protocol-level result.
+// lines. Rates are excluded: both drivers switch a hand-off MarkDelta
+// after planning, but the live switch timers run on the wall clock,
+// outside the queued fabric's FIFO order, so a live switch may still be
+// pending when the outcomes are read. Tree shape and assignment unions
+// are the protocol-level result.
 func outcomeLines(outs []engine.Outcome) string {
 	lines := make([]string, 0, len(outs))
 	for _, o := range outs {

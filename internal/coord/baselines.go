@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
@@ -61,7 +62,7 @@ func (b *broadcast) onState(p *peerNode, m stateMsg) {
 	if r.cfg.DataPlane {
 		part = seq.Div(r.enhancedContent(), r.cfg.N, int(p.id))
 	}
-	p.tx.assign(part, r.perPeerRateAll())
+	p.tx.activate(part, r.perPeerRateAll())
 }
 
 // unicast implements the second baseline of §3.1: the leaf peer sends the
@@ -106,7 +107,7 @@ func (u *unicast) onControl(p *peerNode, m ctlMsg) {
 }
 
 // forward hands half of p's remaining stream to the next peer in the
-// chain. shareOut is called with interval 0: plain division, no added
+// chain. ShareOut is called with interval 0: plain division, no added
 // parity (minimum redundancy).
 func (u *unicast) forward(p *peerNode, round int) {
 	r := u.r
@@ -115,12 +116,12 @@ func (u *unicast) forward(p *peerNode, round int) {
 		return
 	}
 	offset := p.tx.currentOffset()
-	mark := markOffset(offset, r.cfg.Delta, p.tx.rate)
-	parts, rate := shareOut(p.tx.s, mark, p.tx.rate, 0, 2)
+	mark := engine.MarkOffset(offset, r.cfg.Delta, p.tx.st.Rate)
+	parts, rate := engine.ShareOut(p.tx.st.Seq, mark, p.tx.st.Rate, 0, 2)
 	msg := ctlMsg{
 		Parent:    p.id,
 		SeqOffset: offset,
-		Rate:      p.tx.rate,
+		Rate:      p.tx.st.Rate,
 		ChildRate: rate,
 		Children:  1,
 		ChildIdx:  1,
@@ -130,8 +131,9 @@ func (u *unicast) forward(p *peerNode, round int) {
 		msg.AssignedSeq = parts[1]
 	}
 	r.sendCtl(simnet.NodeID(p.id), simnet.NodeID(next), msg, round)
-	keep, given := splitParts(parts)
-	p.tx.planShare(keep, given, p.tx.rate, rate, r.cfg.Delta)
+	keep, given := engine.SplitParts(parts)
+	p.tx.st.Plan(&engine.Handoff{Keep: keep, Given: given, OldRate: p.tx.st.Rate, NewRate: rate, Mark: mark})
+	p.tx.armSwitch()
 }
 
 // centralized implements the 2PC-style controller protocol of reference

@@ -694,16 +694,13 @@ func (p *peerNode) activate(round int, s seq.Sequence, rate float64) {
 		}
 		p.r.scheduleMeasurement()
 	}
-	if p.r.cfg.DataPlane {
-		if wasActive {
-			p.tx.merge(s, rate)
-		} else {
-			p.tx.assign(s, rate)
-		}
-	} else if !wasActive {
-		// Rate bookkeeping still matters for SEQ estimation.
-		p.tx.rate = rate
-		p.tx.startedAt = p.r.eng.Now()
+	switch {
+	case !wasActive:
+		// Control-plane-only runs install a rate-only stream: the rate
+		// still matters for SEQ estimation.
+		p.tx.activate(s, rate)
+	case p.r.cfg.DataPlane:
+		p.tx.merge(s, rate)
 	}
 }
 
@@ -911,27 +908,16 @@ func (r *runner) perPeerRateAll() float64 {
 	return parity.PerPeerRate(r.cfg.Rate, r.cfg.Interval, r.cfg.N)
 }
 
-// shareOut and markOffset are the §3.3 hand-off algebra, now owned by
-// the shared engine; the wrappers remain for the baselines (unicast's
-// chain handover) and the algebra tests.
-func shareOut(ps seq.Sequence, mark int, parentRate float64, p, k int) ([]seq.Sequence, float64) {
-	return engine.ShareOut(ps, mark, parentRate, p, k)
-}
-
-func markOffset(sentOffset int, delta, rate float64) int {
-	return engine.MarkOffset(sentOffset, delta, rate)
-}
-
 // currentOffset estimates how many packets a transmitter has sent, for
 // filling c.SEQ when the data plane is off.
 func (tx *transmitter) currentOffset() int {
 	if tx.r.cfg.DataPlane && !tx.r.cfg.fluid() {
-		return tx.pos
+		return tx.st.Pos
 	}
 	// Control-plane-only and fluid runs estimate the offset from the rate
 	// — there is no per-packet position to read. The offset only fills
 	// c.SEQ in outgoing controls; no protocol decision branches on it.
-	return int((tx.r.eng.Now() - tx.startedAt) * tx.rate)
+	return int((tx.r.eng.Now() - tx.startedAt) * tx.st.Rate)
 }
 
 // viewMembers converts a view to the member list carried in messages.

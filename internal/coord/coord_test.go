@@ -6,7 +6,6 @@ import (
 	"p2pmss/internal/failure"
 	"p2pmss/internal/flight"
 	"p2pmss/internal/overlay"
-	"p2pmss/internal/seq"
 )
 
 func baseCfg() Config {
@@ -411,70 +410,6 @@ func TestLeafSharesReducesControlTraffic(t *testing.T) {
 	}
 	if with >= without {
 		t.Errorf("sharing the initial selection did not reduce traffic: %d vs %d", with, without)
-	}
-}
-
-func TestMarkOffset(t *testing.T) {
-	if got := markOffset(10, 1, 4); got != 14 {
-		t.Errorf("markOffset = %d, want 14", got)
-	}
-	if got := markOffset(0, 0.5, 3); got != 1 {
-		t.Errorf("markOffset = %d, want 1 (floor of 1.5)", got)
-	}
-	if got := markOffset(5, 0, 10); got != 5 {
-		t.Errorf("markOffset = %d, want 5", got)
-	}
-}
-
-func TestShareOutPreservesPackets(t *testing.T) {
-	// Every data packet after the mark appears in exactly one part, and
-	// the parts are pairwise disjoint.
-	ps := seq.Range(1, 60)
-	parts, rate := shareOut(ps, 10, 2.0, 3, 4)
-	if len(parts) != 4 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	wantRate := 2.0 * 4 / (3 * 4)
-	if rate != wantRate {
-		t.Errorf("rate = %v, want %v", rate, wantRate)
-	}
-	var u seq.Sequence
-	for i, p := range parts {
-		for j := i + 1; j < len(parts); j++ {
-			if !seq.Disjoint(p, parts[j]) {
-				t.Fatalf("parts %d and %d overlap", i, j)
-			}
-		}
-		u = seq.Union(u, p)
-	}
-	got := u.DataIndices()
-	if len(got) != 50 || got[0] != 11 || got[len(got)-1] != 60 {
-		t.Errorf("union covers %d data packets [%d..%d], want 50 [11..60]",
-			len(got), got[0], got[len(got)-1])
-	}
-	if u.CountParity() == 0 {
-		t.Error("no parity packets inserted")
-	}
-
-	// Interval 0: plain split, no parity, rate halves.
-	parts, rate = shareOut(ps, 0, 2.0, 0, 2)
-	if rate != 1.0 {
-		t.Errorf("plain rate = %v, want 1", rate)
-	}
-	if seq.Union(parts[0], parts[1]).CountParity() != 0 {
-		t.Error("plain split added parity")
-	}
-
-	// Nil stream (control-plane-only mode).
-	parts, rate = shareOut(nil, 0, 3.0, 2, 3)
-	if parts != nil || rate != 3.0*3/(2*3) {
-		t.Errorf("nil stream: parts=%v rate=%v", parts, rate)
-	}
-
-	// Mark beyond the end: empty parts.
-	parts, _ = shareOut(seq.Range(1, 5), 99, 1, 2, 2)
-	if len(parts) != 2 || len(parts[0]) != 0 || len(parts[1]) != 0 {
-		t.Errorf("mark past end: %v", parts)
 	}
 }
 

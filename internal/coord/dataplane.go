@@ -5,24 +5,25 @@ import (
 	"slices"
 
 	"p2pmss/internal/des"
+	"p2pmss/internal/engine"
 	"p2pmss/internal/parity"
 	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
 
-// transmitter is a contents peer's data-plane sender: it transmits the
-// packets of its assigned subsequence to the leaf peer at its assigned
-// rate, one packet per time slot (§2's slot model: slot length = 1/rate).
+// transmitter is a contents peer's data-plane sender: the shell that
+// drives an engine.Stream on the DES clock. It transmits the packets of
+// its stream to the leaf peer at the stream's rate, one packet per time
+// slot (§2's slot model: slot length = 1/rate). On the fluid plane the
+// stream carries no sequence and the slot grid lives in the ledger.
 type transmitter struct {
 	r    *runner
 	node simnet.NodeID
 
-	s    seq.Sequence
-	rate float64
-	pos  int
-	gen  int
-	ev   *des.Event
+	st  engine.Stream
+	gen int
+	ev  *des.Event
 
 	startedAt float64 // activation time (control-plane-only bookkeeping)
 	sentTotal int64
@@ -32,11 +33,47 @@ func newTransmitter(r *runner, node simnet.NodeID) *transmitter {
 	return &transmitter{r: r, node: node}
 }
 
-// assign replaces the transmitter's stream and rate. On the fluid plane
-// the sequence is always nil and the assignment routes to the ledger.
-func (tx *transmitter) assign(s seq.Sequence, rate float64) {
+// activate installs a new stream and restarts the slot grid.
+func (tx *transmitter) activate(s seq.Sequence, rate float64) {
+	tx.st.Activate(s, rate)
+	tx.restart()
+}
+
+// merge unions a further share into the unsent remainder.
+func (tx *transmitter) merge(s seq.Sequence, rate float64) {
+	tx.st.Merge(s, rate)
+	tx.restart()
+}
+
+// armSwitch fires the oldest planned switch δ from now (§3.3). A
+// rate-only switch leaves the packet plane's slot grid running.
+func (tx *transmitter) armSwitch() {
+	tx.r.eng.After(tx.r.cfg.Delta, func() {
+		if tx.st.Switch() || tx.r.cfg.fluid() {
+			tx.restart()
+		}
+	})
+}
+
+// restart re-times the transmitter after its stream or rate changed.
+// The first slot's phase is random so that steady-state rate
+// measurements see each stream's average rate even when the window is
+// shorter than the slot length (sending early is harmless — the packets
+// are this peer's own share). The fluid plane records a new slot grid
+// in the ledger instead, drawing its phase at exactly the same point,
+// so a fluid run consumes eng.Rand() like the packet plane and (at zero
+// jitter and loss) replays the identical control trajectory.
+func (tx *transmitter) restart() {
+	now := tx.r.eng.Now()
+	tx.startedAt = now
+	rate := tx.st.Rate
 	if tx.r.cfg.fluid() {
-		tx.fluidAssign(rate)
+		if rate <= 0 {
+			tx.r.fl.Cut(int(tx.node), now)
+			return
+		}
+		phase := tx.r.eng.Rand().Float64() / rate
+		tx.r.fl.Start(int(tx.node), now, phase, 1/rate)
 		return
 	}
 	tx.gen++
@@ -44,132 +81,35 @@ func (tx *transmitter) assign(s seq.Sequence, rate float64) {
 		tx.ev.Cancel()
 		tx.ev = nil
 	}
-	tx.s, tx.rate, tx.pos = s, rate, 0
-	tx.startedAt = tx.r.eng.Now()
-	if rate <= 0 || len(s) == 0 {
+	if rate <= 0 || len(tx.st.Seq) == 0 {
 		return
 	}
-	// Randomize the phase of the first slot so that steady-state rate
-	// measurements see each stream's average rate even when the window is
-	// shorter than the slot length (sending early is harmless — the
-	// packets are this peer's own share).
+	tx.schedule(tx.r.eng.Rand().Float64() / rate)
+}
+
+// schedule sends the next packet after delay, then keeps sending one
+// per slot while the stream (or, with Loop, its rewind) lasts.
+func (tx *transmitter) schedule(delay float64) {
 	gen := tx.gen
-	tx.ev = tx.r.eng.After(tx.r.eng.Rand().Float64()/tx.rate, func() {
+	tx.ev = tx.r.eng.After(delay, func() {
 		if gen != tx.gen {
 			return
 		}
 		tx.sendNext()
-		if tx.pos < len(tx.s) || tx.r.cfg.Loop {
-			tx.schedule()
-		}
-	})
-}
-
-// fluidAssign is assign on the fluid plane: no sequence, no per-packet
-// events — the flow ledger records a new slot grid. The first-slot
-// phase draw mirrors the packet plane's, so a fluid run consumes
-// eng.Rand() at exactly the same points and (at zero jitter and loss)
-// replays the identical control trajectory.
-func (tx *transmitter) fluidAssign(rate float64) {
-	now := tx.r.eng.Now()
-	tx.rate, tx.startedAt = rate, now
-	if rate <= 0 {
-		tx.r.fl.Cut(int(tx.node), now)
-		return
-	}
-	phase := tx.r.eng.Rand().Float64() / rate
-	tx.r.fl.Start(int(tx.node), now, phase, 1/rate)
-}
-
-// merge unions an additional subsequence into the not-yet-sent remainder
-// (DCoP's pkt_i := pkt_i ∪ pkt_ji for redundantly selected peers) and adds
-// the new stream's rate.
-func (tx *transmitter) merge(s seq.Sequence, rate float64) {
-	var remaining seq.Sequence
-	if tx.pos < len(tx.s) {
-		remaining = tx.s[tx.pos:]
-	}
-	merged := seq.Union(remaining.Clone(), s)
-	tx.assign(merged, tx.rate+rate)
-}
-
-// planShare schedules the parent's switch to its own share δ time units
-// from now (§3.3: "the parent also changes the packet subsequence to
-// pkt_jj and the rate … on δ time units after CP_j sends the control
-// packet"). Rather than wholesale replacement, the switch subtracts the
-// packets given to children and unions in the parent's own share, so it
-// composes with assignments merged from other parents in the meantime —
-// otherwise the parent would keep retransmitting its entire delegated
-// subtree (massive duplication) or drop merged assignments (gaps).
-func (tx *transmitter) planShare(keep seq.Sequence, given []seq.Sequence, oldRate, newRate, delta float64) {
-	if tx.r.cfg.fluid() {
-		// Same δ-deferred switch, same rate algebra, and the reassignment
-		// draws its phase exactly where the packet plane's assign would.
-		tx.r.eng.After(delta, func() {
-			rate := tx.rate - oldRate + newRate
-			if rate <= 0 {
-				rate = newRate
-			}
-			tx.fluidAssign(rate)
-		})
-		return
-	}
-	if tx.s == nil {
-		// Control-plane-only mode: just record the rate change.
-		tx.r.eng.After(delta, func() {
-			r := tx.rate - oldRate + newRate
-			if r <= 0 {
-				r = newRate
-			}
-			tx.rate = r
-		})
-		return
-	}
-	givenKeys := make(map[string]bool)
-	for _, g := range given {
-		for _, p := range g {
-			givenKeys[p.Key()] = true
-		}
-	}
-	tx.r.eng.After(delta, func() {
-		var rest seq.Sequence
-		if tx.pos < len(tx.s) {
-			for _, p := range tx.s[tx.pos:] {
-				if !givenKeys[p.Key()] {
-					rest = append(rest, p)
-				}
-			}
-		}
-		rate := tx.rate - oldRate + newRate
-		if rate <= 0 {
-			rate = newRate
-		}
-		tx.assign(seq.Union(rest, keep), rate)
-	})
-}
-
-func (tx *transmitter) schedule() {
-	gen := tx.gen
-	tx.ev = tx.r.eng.After(1/tx.rate, func() {
-		if gen != tx.gen {
-			return
-		}
-		tx.sendNext()
-		if tx.pos < len(tx.s) || tx.r.cfg.Loop {
-			tx.schedule()
+		if tx.st.Pos < len(tx.st.Seq) || tx.r.cfg.Loop {
+			tx.schedule(1 / tx.st.Rate)
 		}
 	})
 }
 
 func (tx *transmitter) sendNext() {
-	if tx.pos >= len(tx.s) {
-		if !tx.r.cfg.Loop || len(tx.s) == 0 {
-			return
-		}
-		tx.pos = 0
+	if tx.r.cfg.Loop && tx.st.Pos >= len(tx.st.Seq) {
+		tx.st.Pos = 0 // rewind: an unbounded stream for steady-state runs
 	}
-	pkt := tx.s[tx.pos]
-	tx.pos++
+	pkt, ok := tx.st.Next()
+	if !ok {
+		return
+	}
 	tx.sentTotal++
 	tx.r.met.dataSent.Inc()
 	tx.r.nw.Send(tx.node, tx.r.leafID(), dataMsg{Pkt: pkt})
@@ -329,15 +269,6 @@ func (l *leafNode) resetWindow() {
 }
 
 func (l *leafNode) closeWindow() {}
-
-// splitParts separates a shareOut result into the parent's own share and
-// the children's shares; both are nil in control-plane-only mode.
-func splitParts(parts []seq.Sequence) (keep seq.Sequence, given []seq.Sequence) {
-	if len(parts) == 0 {
-		return nil, nil
-	}
-	return parts[0], parts[1:]
-}
 
 // repairCheck implements the leaf-driven repair loop (Config.Repair):
 // when no new data packet has arrived for a full interval and the

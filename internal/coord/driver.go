@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"p2pmss/internal/engine"
-	"p2pmss/internal/seq"
 	"p2pmss/internal/simnet"
 	"p2pmss/internal/span"
 )
@@ -73,13 +72,15 @@ func (r *runner) startRequests() {
 	}
 }
 
-// snapshot stamps the peer's current data-plane state.
+// snapshot stamps the peer's current data-plane state. The fluid plane
+// materializes no sequence, so its snapshot carries none.
 func (r *runner) snapshot(p *peerNode) engine.Snapshot {
-	return engine.Snapshot{
-		Offset: p.tx.currentOffset(),
-		Stream: p.tx.s,
-		Rate:   p.tx.rate,
+	snap := p.tx.st.Snapshot()
+	snap.Offset = p.tx.currentOffset()
+	if r.cfg.fluid() {
+		snap.Stream = nil
 	}
+	return snap
 }
 
 // dispatch feeds one event into the peer's engine core and applies the
@@ -102,14 +103,14 @@ func (r *runner) dispatchCtx(p *peerNode, ev engine.Event, parent span.Context) 
 
 // applyEffects executes the engine's effects in order. Sends to crashed
 // peers feed SendFailed back into the engine (its feedback batch is
-// queued behind the remaining effects); the hand-off is buffered
-// (copied out — the node is recycled) so that Absorb effects produced
-// by those failures fold into it before it is planned. Every consumed
-// batch goes back to the peer's free lists via Release; the messages
-// themselves stay alive until simnet delivers (or discards) them.
+// queued behind the remaining effects), so the Absorb effects those
+// failures produce fold into the hand-off the batch planned. Each
+// planned hand-off arms its switch once the whole batch is applied.
+// Every consumed batch goes back to the peer's free lists via Release;
+// the messages themselves stay alive until simnet delivers (or
+// discards) them.
 func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
-	var handoff engine.Handoff
-	haveHandoff := false
+	planned := 0
 	batches := append(r.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
 		for _, eff := range batches[bi] {
@@ -137,14 +138,11 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 			case *engine.Merge:
 				p.activate(e.Round, e.Seq, e.Rate)
 			case *engine.Handoff:
-				handoff = *e
-				haveHandoff = true
+				p.tx.st.Plan(e)
+				planned++
 			case *engine.Absorb:
-				if haveHandoff {
-					handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-					handoff.NewRate += e.RateDelta
-				} else if p.active {
-					p.activate(p.depth, e.Seq, e.RateDelta)
+				if p.tx.st.Absorb(e.Seq, e.RateDelta) {
+					p.tx.restart()
 				}
 			case *engine.ServeRepair:
 				r.serveRepair(p, e.Indices)
@@ -155,8 +153,8 @@ func (r *runner) applyEffects(p *peerNode, effs []engine.Effect) {
 		p.core.Release(b)
 	}
 	r.batchBuf = batches[:0]
-	if haveHandoff {
-		p.tx.planShare(handoff.Keep, handoff.Given, handoff.OldRate, handoff.NewRate, r.cfg.Delta)
+	for ; planned > 0; planned-- {
+		p.tx.armSwitch()
 	}
 }
 

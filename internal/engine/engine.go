@@ -8,8 +8,9 @@
 //
 // The engine owns every protocol transition (control, confirmation and
 // commit handling, handshake deadlines, alternate-peer retry waves,
-// commit re-absorption, the §3.3 lifetime fanout cap); drivers own
-// encoding, transports, clocks and the data plane. No goroutines, no
+// commit re-absorption, the §3.3 lifetime fanout cap) and, in Stream,
+// the transmitter rules the data-plane effects apply; drivers own
+// encoding, transports, clocks and pacing. No goroutines, no
 // clocks, no I/O: all randomness comes from the injected *rand.Rand, so
 // a driver that replays the same events observes the same effects.
 //
@@ -289,15 +290,13 @@ type Merge struct {
 }
 
 // Handoff schedules the parent's own switch after delegating to
-// children: at the mark (δ after the sends), the driver subtracts the
-// Given shares from the unsent remainder, unions in Keep, and adjusts
-// the rate by NewRate-OldRate. Keep/Given are nil in control-plane-only
-// mode (rate change only). Absorb effects arriving before the switch is
-// applied fold back into it.
-//
-// A driver that buffers the hand-off past the Handle batch (both
-// shipped drivers do) must copy the fields out: the node itself is
-// recycled by Release.
+// children. The driver passes it to Stream.Plan (which copies out what
+// it keeps — the node itself is recycled by Release) and calls
+// Stream.Switch MarkDelta later: the Given shares leave the unsent
+// remainder, Keep joins it, and the rate moves by NewRate-OldRate.
+// Keep/Given are nil in control-plane-only mode (rate change only).
+// Mark is the §3.3 marked packet the children start from; flight
+// records it.
 type Handoff struct {
 	Keep             seq.Sequence
 	Given            []seq.Sequence
@@ -305,9 +304,9 @@ type Handoff struct {
 	Mark             int
 }
 
-// Absorb returns an undeliverable child's share to the parent: the
-// driver unions Seq back into the (possibly pending) stream and adds
-// RateDelta, so delivery does not depend on repair.
+// Absorb returns an undeliverable child's share to the parent
+// (Stream.Absorb folds it into the pending switch, or merges it), so
+// delivery does not depend on repair.
 type Absorb struct {
 	Seq       seq.Sequence
 	RateDelta float64
@@ -673,19 +672,16 @@ func afterActivate(s seq.Sequence, rate float64) Snapshot {
 	return Snapshot{Offset: 0, Stream: s, Rate: rate}
 }
 
-// afterMerge is the data-plane snapshot right after a Merge effect: the
-// unsent remainder unioned with the new share, position reset. In
+// afterMerge is the data-plane snapshot right after a Merge effect. In
 // control-plane-only mode the transmitter is untouched, so the snapshot
 // passes through unchanged.
 func afterMerge(snap Snapshot, s seq.Sequence, rate float64) Snapshot {
 	if snap.Stream == nil && s == nil {
 		return snap
 	}
-	var remaining seq.Sequence
-	if snap.Offset < len(snap.Stream) {
-		remaining = snap.Stream[snap.Offset:]
-	}
-	return Snapshot{Offset: 0, Stream: seq.Union(remaining.Clone(), s), Rate: snap.Rate + rate}
+	st := Stream{Seq: snap.Stream, Pos: snap.Offset, Rate: snap.Rate}
+	st.Merge(s, rate)
+	return st.Snapshot()
 }
 
 // ---- outcome ------------------------------------------------------------

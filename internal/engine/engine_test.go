@@ -20,8 +20,7 @@ type harness struct {
 	cfg     engine.Config
 	peers   []*engine.Peer
 	sources []rand.Source
-	streams []seq.Sequence
-	rates   []float64
+	streams []engine.Stream
 	crashed map[engine.PeerID]bool
 
 	queue  []delivery
@@ -75,8 +74,7 @@ func newHarness(cfg engine.Config, seed int64) *harness {
 		src := rand.NewSource(engine.PeerSeed(seed, id))
 		h.sources = append(h.sources, src)
 		h.peers = append(h.peers, engine.NewPeer(cfg, id, rand.New(src)))
-		h.streams = append(h.streams, nil)
-		h.rates = append(h.rates, 0)
+		h.streams = append(h.streams, engine.Stream{})
 	}
 	return h
 }
@@ -93,13 +91,12 @@ func (h *harness) reset(seed int64) {
 	for i, p := range h.peers {
 		p.Reset()
 		h.sources[i].Seed(engine.PeerSeed(seed, engine.PeerID(i)))
-		h.streams[i] = nil
-		h.rates[i] = 0
+		h.streams[i].Activate(nil, 0) // keeps the drained switch FIFO's capacity
 	}
 }
 
 func (h *harness) snap(id engine.PeerID) engine.Snapshot {
-	return engine.Snapshot{Offset: 0, Stream: h.streams[id], Rate: h.rates[id]}
+	return h.streams[id].Snapshot()
 }
 
 // start performs the leaf's step 1 over the given content sequence
@@ -196,14 +193,14 @@ func (h *harness) deliver(to engine.PeerID, ev engine.Event) {
 }
 
 // apply executes effects exactly as the real drivers do: sends to
-// crashed peers feed SendFailed back behind the remaining effects, the
-// hand-off is buffered (copied out — the node is recycled) so Absorb
-// folds into it, then applied. Every consumed batch is given back to
-// the peer via Release.
+// crashed peers feed SendFailed back behind the remaining effects, so
+// Absorb folds into the batch's planned hand-off. The switch then
+// applies at once instead of MarkDelta later (the position never
+// advances, so the key-based subtraction makes it lossless). Every
+// consumed batch is given back to the peer via Release.
 func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 	p := h.peers[to]
-	var handoff engine.Handoff
-	haveHandoff := false
+	st := &h.streams[to]
 	batches := append(h.batchBuf[:0], effs)
 	for bi := 0; bi < len(batches); bi++ {
 		for _, eff := range batches[bi] {
@@ -221,22 +218,13 @@ func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 			case *engine.SetTimer:
 				h.timers = append(h.timers, timerEntry{at: h.now + e.Delay, to: to, id: e.ID})
 			case *engine.Activate:
-				h.streams[to] = e.Seq
-				h.rates[to] = e.Rate
+				st.Activate(e.Seq, e.Rate)
 			case *engine.Merge:
-				h.streams[to] = seq.Union(h.streams[to], e.Seq)
-				h.rates[to] += e.Rate
+				st.Merge(e.Seq, e.Rate)
 			case *engine.Handoff:
-				handoff = *e
-				haveHandoff = true
+				st.Plan(e)
 			case *engine.Absorb:
-				if haveHandoff {
-					handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-					handoff.NewRate += e.RateDelta
-				} else {
-					h.streams[to] = seq.Union(h.streams[to], e.Seq)
-					h.rates[to] += e.RateDelta
-				}
+				st.Absorb(e.Seq, e.RateDelta)
 			}
 		}
 	}
@@ -244,36 +232,9 @@ func (h *harness) apply(to engine.PeerID, effs []engine.Effect) {
 		p.Release(b)
 	}
 	h.batchBuf = batches[:0]
-	if !haveHandoff {
-		return
+	for st.Pending() {
+		st.Switch()
 	}
-	if len(handoff.Given) == 0 && handoff.Keep == nil && h.streams[to] == nil {
-		// Control-plane-only: the hand-off is a rate change.
-		rate := h.rates[to] - handoff.OldRate + handoff.NewRate
-		if rate <= 0 {
-			rate = handoff.NewRate
-		}
-		h.rates[to] = rate
-		return
-	}
-	given := make(map[string]bool)
-	for _, g := range handoff.Given {
-		for _, pkt := range g {
-			given[pkt.Key()] = true
-		}
-	}
-	var rest seq.Sequence
-	for _, pkt := range h.streams[to] {
-		if !given[pkt.Key()] {
-			rest = append(rest, pkt)
-		}
-	}
-	h.streams[to] = seq.Union(rest, handoff.Keep)
-	rate := h.rates[to] - handoff.OldRate + handoff.NewRate
-	if rate <= 0 {
-		rate = handoff.NewRate
-	}
-	h.rates[to] = rate
 }
 
 func (h *harness) outcomes() []engine.Outcome {
@@ -485,7 +446,7 @@ func TestEngineTCoPCommitAbsorb(t *testing.T) {
 	got := make(map[string]bool)
 	for i, o := range outs {
 		if o.Active && !h.crashed[o.ID] {
-			for _, pkt := range h.streams[i] {
+			for _, pkt := range h.streams[i].Seq {
 				got[pkt.Key()] = true
 			}
 			_ = o
@@ -639,5 +600,57 @@ func TestMarkOffsetFloors(t *testing.T) {
 		if got := engine.MarkOffset(c.off, c.d, c.r); got != c.want {
 			t.Errorf("MarkOffset(%d,%v,%v) = %d, want %d", c.off, c.d, c.r, got, c.want)
 		}
+	}
+}
+
+func TestShareOutPreservesPackets(t *testing.T) {
+	// Every data packet after the mark appears in exactly one part, and
+	// the parts are pairwise disjoint.
+	ps := seq.Range(1, 60)
+	parts, rate := engine.ShareOut(ps, 10, 2.0, 3, 4)
+	if len(parts) != 4 {
+		t.Fatalf("parts = %d", len(parts))
+	}
+	wantRate := 2.0 * 4 / (3 * 4)
+	if rate != wantRate {
+		t.Errorf("rate = %v, want %v", rate, wantRate)
+	}
+	var u seq.Sequence
+	for i, p := range parts {
+		for j := i + 1; j < len(parts); j++ {
+			if !seq.Disjoint(p, parts[j]) {
+				t.Fatalf("parts %d and %d overlap", i, j)
+			}
+		}
+		u = seq.Union(u, p)
+	}
+	got := u.DataIndices()
+	if len(got) != 50 || got[0] != 11 || got[len(got)-1] != 60 {
+		t.Errorf("union covers %d data packets [%d..%d], want 50 [11..60]",
+			len(got), got[0], got[len(got)-1])
+	}
+	if u.CountParity() == 0 {
+		t.Error("no parity packets inserted")
+	}
+
+	// Interval 0: plain split, no parity, rate halves.
+	parts, rate = engine.ShareOut(ps, 0, 2.0, 0, 2)
+	if rate != 1.0 {
+		t.Errorf("plain rate = %v, want 1", rate)
+	}
+	if seq.Union(parts[0], parts[1]).CountParity() != 0 {
+		t.Error("plain split added parity")
+	}
+
+	// Nil stream (control-plane-only mode).
+	parts, rate = engine.ShareOut(nil, 0, 3.0, 2, 3)
+	if parts != nil || rate != 3.0*3/(2*3) {
+		t.Errorf("nil stream: parts=%v rate=%v", parts, rate)
+	}
+
+	// Mark beyond the end: empty parts.
+	parts, _ = engine.ShareOut(seq.Range(1, 5), 99, 1, 2, 2)
+	if len(parts) != 2 || len(parts[0]) != 0 || len(parts[1]) != 0 {
+		t.Errorf("mark past end: %v", parts)
 	}
 }

@@ -23,8 +23,9 @@
 // decodes transport messages into engine events, translates roster
 // addresses to engine peer ids, hydrates payload-stripped sequences from
 // its content copy, and applies the engine's effects: Send becomes a
-// JSON message, SetTimer a time.AfterFunc, Activate/Merge/Handoff
-// operations on the streaming goroutine's sequence.
+// JSON message, SetTimer a time.AfterFunc, and Activate/Merge/Handoff/
+// Absorb operations on the peer's engine.Stream, whose hand-off switch
+// fires on a time.AfterFunc MarkDelta after planning.
 //
 // A Node hosts a content.Store on one endpoint and multiplexes many
 // concurrent sessions — serving some as a contents peer and consuming
@@ -230,6 +231,11 @@ type PeerConfig struct {
 	PayloadMemoCap int
 }
 
+// markDelta is the engine's MarkDelta on the wall clock: children take
+// over from the mark 2·Delta ahead of the parent's reported offset, and
+// the parent's own hand-off switch fires 2·Delta after planning.
+func (cfg *PeerConfig) markDelta() time.Duration { return 2 * cfg.Delta }
+
 // normalize validates the config and resolves every defaulted knob in
 // place (mirroring coord.Config.normalize), so the engine and the
 // driver read already-resolved values.
@@ -265,17 +271,6 @@ func (cfg *PeerConfig) normalize() error {
 	return nil
 }
 
-// pendingHandoff is a planned stream switch: applied when the transmit
-// position reaches mark, it drops the keys handed to children from the
-// unsent remainder, unions in the kept share, and adjusts the rate.
-type pendingHandoff struct {
-	keep    seq.Sequence
-	given   map[string]bool
-	oldRate float64
-	newRate float64
-	mark    int
-}
-
 // Peer is a live contents peer: the shared coordination engine plus a
 // streaming goroutine and the address/payload codec between them.
 type Peer struct {
@@ -301,10 +296,7 @@ type Peer struct {
 	payloads payloadMemo
 	leaf     string
 	active   bool
-	stream   seq.Sequence
-	pos      int
-	rate     float64
-	pending  *pendingHandoff
+	st       engine.Stream
 
 	// repairTo is the reply address of the repair request currently
 	// being dispatched (the engine's ServeRepair effect has no driver
@@ -355,7 +347,7 @@ func NewPeer(cfg PeerConfig, tr Transport) (*Peer, error) {
 		N:                n,
 		H:                cfg.H,
 		Interval:         cfg.Interval,
-		MarkDelta:        (2 * cfg.Delta).Seconds(),
+		MarkDelta:        cfg.markDelta().Seconds(),
 		HandshakeTimeout: cfg.HandshakeTimeout.Seconds(),
 		CommitRelease:    (4 * cfg.HandshakeTimeout).Seconds(),
 		Retries:          cfg.Retries,
@@ -415,7 +407,7 @@ func (p *Peer) Active() bool {
 func (p *Peer) Quiesced(now time.Time, grace time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.active || p.pending != nil || p.pos < len(p.stream) {
+	if !p.active || p.st.Pending() || p.st.Pos < len(p.st.Seq) {
 		return false
 	}
 	return now.Sub(p.lastTouch) >= grace
@@ -652,8 +644,7 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 		p.mu.Unlock()
 		return
 	}
-	snap := engine.Snapshot{Offset: p.pos, Stream: p.stream, Rate: p.rate, Pending: p.pending != nil}
-	effs := p.core.Handle(ev, snap)
+	effs := p.core.Handle(ev, p.st.Snapshot())
 	p.spans.Observe(p.core, liveNow(), ev, parent, effs)
 	p.flight.Observe(liveNow(), ev, effs)
 	sends := p.applyLocked(effs)
@@ -690,12 +681,12 @@ func (p *Peer) dispatchCtx(ev engine.Event, parent span.Context) {
 	}
 }
 
-// applyLocked executes the engine's effects in order, buffering the
-// hand-off so Absorb effects fold into it, and returns the sends to
-// perform once the lock is released. Callers hold p.mu.
+// applyLocked executes the engine's effects in order and returns the
+// sends to perform once the lock is released. Each hand-off arms its
+// switch MarkDelta from now; Absorb folds into the newest planned
+// switch. Callers hold p.mu.
 func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 	var sends []outSend
-	var handoff *engine.Handoff
 	for _, eff := range effs {
 		switch e := eff.(type) {
 		case *engine.Send:
@@ -703,29 +694,27 @@ func (p *Peer) applyLocked(effs []engine.Effect) []outSend {
 		case *engine.SetTimer:
 			p.armTimer(e)
 		case *engine.Activate:
-			p.activateLocked(e.Seq, e.Rate)
+			p.st.Activate(e.Seq, e.Rate)
+			if !p.active {
+				p.active = true
+				p.met.activations.Inc()
+			}
+			p.kick()
 		case *engine.Merge:
-			p.mergeLocked(e.Seq, e.Rate)
+			p.st.Merge(e.Seq, e.Rate)
+			p.kick()
 		case *engine.Handoff:
-			handoff = e
+			p.st.Plan(e)
+			p.met.handoffs.Add(int64(len(e.Given)))
+			p.after(p.cfg.markDelta(), p.switchStream)
 		case *engine.Absorb:
 			p.met.failovers.Inc()
-			switch {
-			case handoff != nil:
-				handoff.Keep = seq.Union(handoff.Keep, e.Seq)
-				handoff.NewRate += e.RateDelta
-			case p.pending != nil:
-				p.pending.keep = seq.Union(p.pending.keep, e.Seq)
-				p.pending.newRate += e.RateDelta
-			default:
-				p.mergeLocked(e.Seq, e.RateDelta)
+			if p.st.Absorb(e.Seq, e.RateDelta) {
+				p.kick()
 			}
 		case *engine.ServeRepair:
 			sends = append(sends, p.repairSendsLocked(e.Indices)...)
 		}
-	}
-	if handoff != nil {
-		p.installHandoffLocked(handoff)
 	}
 	if used := p.core.RetriesUsed(); used > p.lastRetried {
 		p.met.retries.Add(int64(used - p.lastRetried))
@@ -771,84 +760,29 @@ func (p *Peer) encodeLocked(e *engine.Send) outSend {
 // armTimer schedules TimerFired delivery on the wall clock.
 func (p *Peer) armTimer(e *engine.SetTimer) {
 	id := e.ID
-	time.AfterFunc(time.Duration(e.Delay*float64(time.Second)), func() {
+	p.after(time.Duration(e.Delay*float64(time.Second)), func() {
+		p.dispatch(&engine.TimerFired{Timer: id})
+	})
+}
+
+// after runs f on the wall clock after d unless the peer has stopped.
+func (p *Peer) after(d time.Duration, f func()) {
+	time.AfterFunc(d, func() {
 		select {
 		case <-p.stopCh:
 			return
 		default:
 		}
-		p.dispatch(&engine.TimerFired{Timer: id})
+		f()
 	})
 }
 
-// activateLocked installs the peer's first stream.
-func (p *Peer) activateLocked(s seq.Sequence, rate float64) {
-	p.stream = s
-	p.pos = 0
-	p.rate = rate
-	if !p.active {
-		p.active = true
-		p.met.activations.Inc()
-	}
-	p.kick()
-}
-
-// mergeLocked unions an additional share into the unsent remainder and
-// adds its rate (DCoP's pkt_i := pkt_i ∪ pkt_ji).
-func (p *Peer) mergeLocked(s seq.Sequence, rate float64) {
-	var remaining seq.Sequence
-	if p.pos < len(p.stream) {
-		remaining = p.stream[p.pos:].Clone()
-	}
-	p.stream = seq.Union(remaining, s)
-	p.pos = 0
-	p.rate += rate
-	p.kick()
-}
-
-// installHandoffLocked plans the parent's own switch, copying what it
-// needs out of the effect node (which is recycled right after the
-// batch is applied). If a hand-off is already pending (a redundant
-// DCoP parent re-selected before the first mark), the older one is
-// applied immediately — the subtraction is key-based, so early
-// application loses nothing — before the new one is installed.
-func (p *Peer) installHandoffLocked(h *engine.Handoff) {
-	if p.pending != nil {
-		p.applyPendingLocked()
-	}
-	given := make(map[string]bool)
-	for _, g := range h.Given {
-		for _, pkt := range g {
-			given[pkt.Key()] = true
-		}
-	}
-	p.pending = &pendingHandoff{
-		keep: h.Keep, given: given,
-		oldRate: h.OldRate, newRate: h.NewRate, mark: h.Mark,
-	}
-	p.met.handoffs.Add(int64(len(h.Given)))
-}
-
-// applyPendingLocked executes the planned switch: the unsent remainder
-// minus the keys handed to children, unioned with the kept share.
-func (p *Peer) applyPendingLocked() {
-	h := p.pending
-	p.pending = nil
-	var rest seq.Sequence
-	if p.pos < len(p.stream) {
-		for _, pkt := range p.stream[p.pos:] {
-			if !h.given[pkt.Key()] {
-				rest = append(rest, pkt)
-			}
-		}
-	}
-	p.stream = seq.Union(rest, h.keep)
-	p.pos = 0
-	rate := p.rate - h.oldRate + h.newRate
-	if rate <= 0 {
-		rate = h.newRate
-	}
-	p.rate = rate
+// switchStream applies the oldest planned hand-off switch (one call per
+// Handoff, MarkDelta after it was planned).
+func (p *Peer) switchStream() {
+	p.mu.Lock()
+	p.st.Switch()
+	p.mu.Unlock()
 	p.kick()
 }
 
@@ -1032,8 +966,8 @@ func (p *Peer) kick() {
 func (p *Peer) streamLoop() {
 	for {
 		p.mu.Lock()
-		active := p.active && p.pos < len(p.stream)
-		rate := p.rate
+		active := p.active && p.st.Pos < len(p.st.Seq)
+		rate := p.st.Rate
 		p.mu.Unlock()
 		if !active {
 			select {
@@ -1058,16 +992,11 @@ func (p *Peer) streamLoop() {
 
 func (p *Peer) sendOne() {
 	p.mu.Lock()
-	// Apply a pending hand-off exactly at its mark.
-	if p.pending != nil && p.pos >= p.pending.mark {
-		p.applyPendingLocked()
-	}
-	if p.pos >= len(p.stream) {
+	pkt, ok := p.st.Next()
+	if !ok {
 		p.mu.Unlock()
 		return
 	}
-	pkt := p.stream[p.pos]
-	p.pos++
 	p.sent++
 	p.lastTouch = time.Now()
 	leaf := p.leaf

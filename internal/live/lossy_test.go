@@ -255,6 +255,8 @@ func TestNodesOverUDPWithLoss(t *testing.T) {
 // Seeded-impairment determinism on the in-process fabric is pinned at
 // the transport layer (TestFabricImpairmentDeterministic), where the
 // send sequence is scripted. A full live session cannot assert count
-// determinism: streaming is wall-clock paced, so hand-off marks — and
-// with them how many data packets each peer emits — legitimately vary
-// between runs even when every impairment verdict is reproducible.
+// determinism: streaming and the hand-off switch timers run on the wall
+// clock, so how far a parent has transmitted when its switch fires —
+// and with it how many data packets each peer emits — legitimately
+// varies between runs even when every impairment verdict is
+// reproducible.
